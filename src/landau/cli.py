@@ -5,7 +5,6 @@ Subcommands:
   oracle        verify the convolution inequalities on the analytic catalog
   fit-report    fit decay slopes from an NDJSON stream against rate targets
   maxfit        traveling-Maxwellian fit residual of a checkpointed field
-  compare-free  weighted sup distance between a full run and free transport
 
 Formats are bit-exact: NDJSON (one object per output time, keys matching
 DiagnosticRecord fields) and LNDK binary checkpoints.
@@ -20,13 +19,13 @@ import sys
 
 import numpy as np
 
-from .config import SimulationConfig, initial_data, parse_config
-from .diagnostics import fit_decay_rate, null_structure_gain, sharp_cauchy_diff
+from .config import parse_config
+from .diagnostics import fit_decay_rate, null_structure_gain
 from .errors import LandauError
 from .maxwellian import fit_maxwellian
-from .phase_state import DistributionField, Grid, bracket
+from .phase_state import DistributionField, Grid
 from .stepper import run as run_sim
-from .transport import free_solution, pullback_sharp
+from .transport import pullback_sharp
 
 CHECKPOINT_MAGIC = b"LNDK"
 CHECKPOINT_VERSION = 1
@@ -79,13 +78,6 @@ def read_ndjson(path):
             if line:
                 rows.append(json.loads(line))
     return rows
-
-
-def _threads_cap():
-    cap = os.environ.get("LANDAU_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def cmd_run(args):
@@ -183,27 +175,7 @@ def cmd_maxfit(args):
     return 0
 
 
-def cmd_compare_free(args):
-    cfg = parse_config(args.config)
-    data = initial_data(cfg)
-    art = run_sim(cfg, data=data)
-    l, m = cfg.weight_powers
-    print(f"{'t':>8}  {'weighted_sup_diff':>18}")
-    for rec in art.records:
-        t = rec.t
-        free = free_solution(data, t)
-        # compare in sharp coordinates so both fields share a time slice
-        free_sharp = pullback_sharp(free)
-        diff = None
-        if t in art.sharp_snapshots:
-            diff = sharp_cauchy_diff(art.sharp_snapshots[t], free_sharp, l, m)
-        print(f"{t:8.2f}  {rec.sharp_diff_vs_t0:18.6e}" +
-              (f"  {diff:.6e}" if diff is not None else ""))
-    return 0
-
-
 def main(argv=None):
-    _threads_cap()
     parser = argparse.ArgumentParser(prog="landau")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -215,7 +187,6 @@ def main(argv=None):
     p_run.set_defaults(func=cmd_run)
 
     p_or = sub.add_parser("oracle", help="verify convolution inequalities")
-    p_or.add_argument("--quiet", action="store_true")
     p_or.set_defaults(func=cmd_oracle)
 
     p_fit = sub.add_parser("fit-report", help="decay-slope report from NDJSON")
@@ -227,10 +198,6 @@ def main(argv=None):
     p_max = sub.add_parser("maxfit", help="traveling-Maxwellian fit residual")
     p_max.add_argument("checkpoint")
     p_max.set_defaults(func=cmd_maxfit)
-
-    p_cmp = sub.add_parser("compare-free", help="full run vs free transport")
-    p_cmp.add_argument("--config", required=True)
-    p_cmp.set_defaults(func=cmd_compare_free)
 
     args = parser.parse_args(argv)
     try:

@@ -3,7 +3,7 @@
 The convolutions act in velocity only, independently per spatial cell.  The
 kernel is tabulated once per (velocity grid, gamma) as exact cell averages
 (module kernel) over the difference lattice, then applied either directly
-(reference, O(n_v^{2 d_v})) or by zero-padded circular FFT convolution on a
+(reference, O(n_v^{2 d_v})) or by zero-padded cyclic FFT convolution on a
 (2 n_v)^{d_v} lattice, which reproduces the non-periodic convolution exactly
 because index differences never wrap.
 """
@@ -28,8 +28,8 @@ def kernel_tables(grid: Grid, p: KernelParams):
     """Cell-averaged kernel components on the velocity difference lattice.
 
     Returns (tables, fft_tables): tables is a dict name -> array over offsets
-    k in [-(n_v-1), n_v-1]^{d_v} stored in circulant layout on the (2 n_v)^{d_v}
-    lattice (offset k at index k mod 2 n_v); fft_tables holds their rfftn.
+    k in [-(n_v-1), n_v-1]^{d_v}; fft_tables holds the rfftn of each table laid
+    out periodically on the (2 n_v)^{d_v} lattice (offset k at index k mod 2 n_v).
     """
     key = (grid.n_v, grid.d_v, round(grid.dv, 14), round(p.gamma, 14))
     if key in _TABLE_CACHE:
@@ -67,19 +67,17 @@ def kernel_tables(grid: Grid, p: KernelParams):
         tables[f"b{i}"] = bvec[:, i].reshape(lattice_shape)
     tables["c"] = cval.reshape(lattice_shape)
 
-    # Circulant layout on the padded lattice and its real FFT.
+    # Periodic layout on the padded lattice and its real FFT.
     idx = off % m
     fft_tables = {}
-    circ = {}
     v_axes = tuple(range(d))
     for name, tab in tables.items():
         padded = np.zeros((m,) * d)
         dest = np.ix_(*([idx] * d))
         padded[dest] = tab
-        circ[name] = padded
         fft_tables[name] = np.fft.rfftn(padded, axes=v_axes)
 
-    _TABLE_CACHE[key] = (tables, circ, fft_tables)
+    _TABLE_CACHE[key] = (tables, fft_tables)
     return _TABLE_CACHE[key]
 
 
@@ -108,7 +106,7 @@ def compute_coefficients(f: DistributionField, p: KernelParams, method="fft"):
     if d != p.d:
         raise ValueError("grid velocity dimension and kernel dimension differ")
     vals = _validate_nonnegative(f.values)
-    tables, circ, fft_tables = kernel_tables(grid, p)
+    tables, fft_tables = kernel_tables(grid, p)
     n = grid.n_v
     m = 2 * n
     xshape = vals.shape[: grid.d_x]

@@ -9,18 +9,10 @@ Nonconservative form (cross-validation): Q = a_bar_ij D2_ij f - c_bar f with
 centered second differences, the analytical form of the equation.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .coefficients import CoefficientFields
 from .phase_state import DistributionField, Grid
-
-
-@dataclass
-class CollisionOutput:
-    q_values: np.ndarray
-    form: str
 
 
 def _vaxis(grid: Grid, a, ndim):
@@ -76,7 +68,7 @@ def apply_collision_divergence(f_slice, coeffs: CoefficientFields, grid: Grid):
         dn = [slice(None)] * nd
         dn[ax] = slice(0, -1)
         q += (g_all[tuple(up)] - g_all[tuple(dn)]) / dv
-    return CollisionOutput(q, "divergence")
+    return q
 
 
 def _second_difference(f, dv, axis):
@@ -108,26 +100,7 @@ def apply_collision_nonconservative(f_slice, coeffs: CoefficientFields, grid: Gr
         for j in range(i + 1, d):
             cross = _centered_gradient(grads[j], dv, _vaxis(grid, i, nd))
             q += 2.0 * coeffs.a_bar[..., i, j] * cross
-    return CollisionOutput(q, "nonconservative")
-
-
-def conserved_moments(field, grid: Grid):
-    """(mass, momentum, energy) of a velocity field by midpoint sums."""
-    f = np.asarray(field, dtype=float)
-    scale = grid.dv ** grid.d_v
-    v = grid.v_axis()
-    mass = float(np.sum(f)) * scale
-    mom = np.empty(grid.d_v)
-    vsq = np.zeros_like(f)
-    for a in range(grid.d_v):
-        ax = _vaxis(grid, a, f.ndim)
-        shp = [1] * f.ndim
-        shp[ax] = grid.n_v
-        va = v.reshape(shp)
-        mom[a] = float(np.sum(f * va)) * scale
-        vsq = vsq + va ** 2
-    energy = 0.5 * float(np.sum(f * vsq)) * scale
-    return mass, mom, energy
+    return q
 
 
 def h_functional(f: DistributionField):

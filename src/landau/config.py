@@ -1,7 +1,6 @@
 """Run configuration: schema, parsing, validation gates, initial data."""
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,6 @@ class SimulationConfig:
     K_diag: int = 2
     fit_window: tuple = None
     weight_powers: tuple = (2, 2.0)
-    seed: int = 0
     output_directory: str = "."
     checkpoint_every: float = 0.0
 
@@ -88,7 +86,6 @@ def config_from_dict(raw):
             K_diag=int(diag.get("K_diag", 2)),
             fit_window=tuple(diag["fit_window"]) if "fit_window" in diag else None,
             weight_powers=tuple(diag.get("weight_powers", (2, 2.0))),
-            seed=int(raw.get("seed", 0)),
             output_directory=out.get("directory", "."),
             checkpoint_every=float(out.get("checkpoint_every", 0.0)),
         )

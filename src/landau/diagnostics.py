@@ -7,13 +7,13 @@ velocity weight each derivative order costs.  The decay diagnostics turn
 """
 
 import math
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (GammaOutOfRange, GridMismatch, InsufficientPoints,
                      NonPositiveValue, OrderTooHigh)
-from .phase_state import DistributionField, WeightSpec, bracket
+from .phase_state import DistributionField, bracket
 
 K_DIAG_DEFAULT = 2
 
@@ -187,31 +187,32 @@ class ENormAccumulator:
         return math.sqrt(self.total)
 
 
-def macroscopic_fields(f: DistributionField):
-    """Mass, momentum and energy densities per spatial cell, with sup norms."""
-    grid = f.grid
+def velocity_moments(values, grid):
+    """Mass, momentum and energy densities: sums over the trailing d_v velocity axes.
+
+    values is a full field or a velocity slice; rho and e keep its leading
+    axes, and m gains a trailing axis of length d_v.
+    """
+    f = np.asarray(values, dtype=float)
     scale = grid.dv ** grid.d_v
-    v_axes = tuple(range(grid.d_x, grid.d_x + grid.d_v))
-    rho = np.sum(f.values, axis=v_axes) * scale
-    v = grid.v_axis()
-    m = []
-    vsq = np.zeros(f.values.shape)
-    for a in range(grid.d_v):
-        shp = [1] * f.values.ndim
-        shp[grid.d_x + a] = grid.n_v
-        va = v.reshape(shp)
-        m.append(np.sum(f.values * va, axis=v_axes) * scale)
-        vsq = vsq + va ** 2
-    e = 0.5 * np.sum(f.values * vsq, axis=v_axes) * scale
-    m = np.stack(m, axis=-1)
-    return {
-        "rho": rho,
-        "m": m,
-        "e": e,
-        "rho_sup": float(np.max(np.abs(rho))),
-        "m_sup": float(np.max(np.abs(m))),
-        "e_sup": float(np.max(np.abs(e))),
-    }
+    v_axes = tuple(range(f.ndim - grid.d_v, f.ndim))
+    rho = np.sum(f, axis=v_axes) * scale
+    m = np.empty(rho.shape + (grid.d_v,))
+    e = np.zeros(rho.shape)
+    for a, ax in enumerate(v_axes):
+        shp = [1] * f.ndim
+        shp[ax] = grid.n_v
+        va = grid.v_axis().reshape(shp)
+        fv = f * va
+        m[..., a] = np.sum(fv, axis=v_axes) * scale
+        e += np.sum(fv * va, axis=v_axes)
+    return rho, m, 0.5 * e * scale
+
+
+def conserved_moments(values, grid):
+    """(mass, momentum, energy) summed over the leading axes, without the dx^d_x factor."""
+    rho, m, e = velocity_moments(values, grid)
+    return float(np.sum(rho)), m.reshape(-1, grid.d_v).sum(axis=0), float(np.sum(e))
 
 
 def fit_decay_rate(series, window=None):

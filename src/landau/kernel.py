@@ -71,26 +71,12 @@ def kernel_c(z, p: KernelParams):
     return -(p.d - 1.0) * (p.d + p.gamma) * r2 ** (0.5 * p.gamma)
 
 
-def _component_eval(which, p):
-    """Return (evaluator z -> flat components, number of components, homogeneity)."""
-    d = p.d
-    if which == "matrix":
-        def f(z):
-            return kernel_matrix(z, p).reshape(z.shape[:-1] + (d * d,))
-        return f, d * d, p.gamma + 2.0
-    if which == "divergence":
-        def f(z):
-            r2 = np.sum(z * z, axis=-1)
-            amp = np.where(r2 > 0.0, r2 ** (0.5 * p.gamma), 0.0)
-            return (1.0 - d) * amp[..., None] * z
-        return f, d, p.gamma + 1.0
-    if which == "c":
-        def f(z):
-            r2 = np.sum(z * z, axis=-1)
-            val = np.where(r2 > 0.0, r2 ** (0.5 * p.gamma), 0.0)
-            return (-(d - 1.0) * (d + p.gamma) * val)[..., None]
-        return f, 1, p.gamma
-    raise ValueError(f"unknown kernel component selector {which!r}")
+# Component selector -> (pointwise kernel, homogeneity degree minus gamma).
+_COMPONENTS = {
+    "matrix": (kernel_matrix, 2.0),
+    "divergence": (kernel_divergence, 1.0),
+    "c": (kernel_c, 0.0),
+}
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
@@ -174,14 +160,20 @@ def cell_averaged_kernel(cell_center, spacing, p: KernelParams, which="matrix"):
     spacing = np.broadcast_to(np.asarray(spacing, dtype=float), center.shape).copy()
     if np.any(spacing <= 0.0):
         raise ValueError("cell spacing must be positive")
-    f, ncomp, hom = _component_eval(which, p)
+    if which not in _COMPONENTS:
+        raise ValueError(f"unknown kernel component selector {which!r}")
+    kernel, hom_shift = _COMPONENTS[which]
+    hom = p.gamma + hom_shift
+    shape = np.shape(kernel(np.ones(p.d), p))
+    ncomp = int(np.prod(shape))
+
+    def f(z):
+        # Quadrature nodes are interior to boxes that at most touch z = 0 at
+        # a corner, and far cells are evaluated at their center, so z != 0.
+        return kernel(z, p).reshape(len(z), ncomp)
 
     def reshape(flat):
-        if which == "matrix":
-            return flat.reshape(p.d, p.d)
-        if which == "divergence":
-            return flat
-        return float(flat[0])
+        return flat.reshape(shape) if shape else float(flat[0])
 
     if np.linalg.norm(center) >= SINGULAR_CELL_RADIUS * np.max(spacing):
         return reshape(f(center[None, :])[0])

@@ -11,13 +11,15 @@ normalization, which reduces to m sqrt(det Q)/(2 pi)^d when d_x = d_v.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .errors import ConstraintViolated, ZeroMass
-from .phase_state import DistributionField, Grid, bracket
+from .phase_state import DistributionField, Grid
+
+FIT_MAX_EVALS = 4000  # Nelder-Mead evaluation cap of fit_maxwellian
 
 
 @dataclass
@@ -178,7 +180,7 @@ def _params_from_vector(vec, d, d_x):
     return TravelingMaxwellianParams(m, alpha, sigma, beta, b)
 
 
-def fit_maxwellian(sharp_field: DistributionField, max_iter=4000):
+def fit_maxwellian(sharp_field: DistributionField):
     """Project f-sharp data onto the traveling Maxwellian family.
 
     Moment matching (mass and second moments of (v, x)) initializes the
@@ -215,7 +217,7 @@ def fit_maxwellian(sharp_field: DistributionField, max_iter=4000):
     vec = _params_vector(best, d_x)
     opt = minimize(lambda u: residual_of(_params_from_vector(u, d, d_x)), vec,
                    method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-14, "maxfev": max_iter})
+                   options={"xatol": 1e-12, "fatol": 1e-14, "maxfev": FIT_MAX_EVALS})
     converged = bool(opt.success)
     if opt.fun < best_res:
         best_res = float(opt.fun)

@@ -10,7 +10,7 @@ box, using only the velocity axes paired with a spatial axis) and the
 time-dependent Gaussian e^{d(t) <v>^2} with d(t) = d0 (1 + (1+t)^-delta).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,10 +127,6 @@ class DistributionField:
 
     def mass(self):
         return float(np.sum(self.values)) * self.grid.cell_volume
-
-    def check_finite(self):
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("distribution contains nonfinite values")
 
 
 @dataclass(frozen=True)

@@ -8,15 +8,16 @@ aborts if it exceeds CLIP_BUDGET of the initial mass.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coefficients import compute_coefficients, coefficient_sup_norms
-from .collision import (apply_collision_divergence, conserved_moments, h_functional)
+from .collision import (apply_collision_divergence, apply_collision_nonconservative,
+                        h_functional)
 from .config import SimulationConfig, initial_data, validate_config
 from .diagnostics import (DiagnosticRecord, ENormAccumulator, e_norm,
-                          hierarchy_params, macroscopic_fields, sharp_cauchy_diff,
+                          hierarchy_params, sharp_cauchy_diff, velocity_moments,
                           z_norm)
 from .errors import CflViolation, ClipBudgetExceeded, NanDetected
 from .kernel import KernelParams
@@ -31,8 +32,6 @@ MAX_SUBCYCLES = 10000
 class StepControl:
     cfl_safety: float = 0.5
     dt_max: float = 0.25
-    t_final: float = 0.0
-    output_every: float = 2.5
     max_subcycles: int = MAX_SUBCYCLES
 
 
@@ -87,10 +86,10 @@ def collision_substep(f: DistributionField, dt, p: KernelParams, ctrl: StepContr
     for i in range(nsub):
         if i > 0:
             coeffs = compute_coefficients(DistributionField(f.time, vals, grid), p)
-        k1 = apply_collision_divergence(vals, coeffs, grid).q_values
+        k1 = apply_collision_divergence(vals, coeffs, grid)
         mid = _clip(vals + 0.5 * h * k1, state, vol)
         coeffs_mid = compute_coefficients(DistributionField(f.time, mid, grid), p)
-        k2 = apply_collision_divergence(mid, coeffs_mid, grid).q_values
+        k2 = apply_collision_divergence(mid, coeffs_mid, grid)
         vals = _clip(vals + h * k2, state, vol)
         if not np.all(np.isfinite(vals)):
             raise NanDetected("collision substep produced nonfinite values")
@@ -117,10 +116,8 @@ def strang_step(f: DistributionField, dt, p: KernelParams, ctrl: StepControl,
 class RunArtifacts:
     config: SimulationConfig
     records: list
-    sharp_snapshots: dict       # t -> DistributionField (f-sharp)
     final: DistributionField
     clipped_mass: float
-    series: dict = field(default_factory=dict)
 
     def record_series(self, key):
         return [(r.t, getattr(r, key)) for r in self.records]
@@ -128,18 +125,15 @@ class RunArtifacts:
 
 def _make_record(f, p, cfg, hp, spec, sharp0, state, acc):
     grid = f.grid
-    mass, mom, energy = conserved_moments(f.values, grid)
+    rho, m, e = velocity_moments(f.values, grid)
     xvol = grid.dx ** grid.d_x
-    macro = macroscopic_fields(f)
-    sharp = pullback_sharp(f)
-    diff0 = sharp_cauchy_diff(sharp, sharp0, *cfg.weight_powers)
+    diff0 = sharp_cauchy_diff(pullback_sharp(f), sharp0, *cfg.weight_powers)
     if float(np.max(f.values)) > 0.0:
         coeffs = compute_coefficients(f, p)
         sups = coefficient_sup_norms(coeffs, cfg.gamma)
-        from .collision import apply_collision_nonconservative
         vb = bracket(grid.v_squared())
         diffusion = apply_collision_nonconservative(
-            f.values, coeffs, grid).q_values + coeffs.c_bar * f.values
+            f.values, coeffs, grid) + coeffs.c_bar * f.values
         null_term = float(np.max(np.abs(diffusion) / vb ** (2.0 + cfg.gamma)))
     else:
         sups = {"plain": 0.0, "weighted_down": 0.0, "c_sup": 0.0}
@@ -166,12 +160,12 @@ def _make_record(f, p, cfg, hp, spec, sharp0, state, acc):
             e_norms[key] = fixed
     return DiagnosticRecord(
         t=f.time,
-        mass=mass * xvol,
-        momentum=list(np.asarray(mom) * xvol),
-        energy=energy * xvol,
-        rho_sup=macro["rho_sup"],
-        m_sup=macro["m_sup"],
-        e_sup=macro["e_sup"],
+        mass=float(np.sum(rho)) * xvol,
+        momentum=list(m.reshape(-1, grid.d_v).sum(axis=0) * xvol),
+        energy=float(np.sum(e)) * xvol,
+        rho_sup=float(np.max(np.abs(rho))),
+        m_sup=float(np.max(np.abs(m))),
+        e_sup=float(np.max(np.abs(e))),
         E_norms=e_norms,
         Z_norms=z_norms,
         a_bar_plain_sup=sups["plain"],
@@ -181,44 +175,40 @@ def _make_record(f, p, cfg, hp, spec, sharp0, state, acc):
         sharp_diff_vs_t0=diff0,
         h_value=h_functional(f),
         clipped_mass=state.clipped_mass,
-    ), sharp
+    )
 
 
-def run(cfg: SimulationConfig, data: DistributionField = None, snapshot_times=(),
-        transport_only=False, checkpoint_cb=None):
-    """Advance from t = 0 to t_final, emitting one DiagnosticRecord per output time."""
+def run(cfg: SimulationConfig, data: DistributionField = None, transport_only=False,
+        checkpoint_cb=None):
+    """Advance from data.time to t_final, emitting one DiagnosticRecord per output time.
+
+    Without data the run starts from the config's initial data at t = 0.  A
+    resumed run keeps the output schedule, multiples of output_every, but its
+    clip budget, E-norm time integral and f-sharp reference start afresh.
+    """
     if data is None:
         data = initial_data(cfg)
     validate_config(cfg, data)
-    grid = data.grid
     p = cfg.kernel_params()
     hp = hierarchy_params(cfg.gamma)
     spec = WeightSpec.from_gamma(cfg.gamma, gaussian=True, d0=cfg.d0)
-    ctrl = StepControl(cfg.cfl_safety, cfg.dt_max, cfg.t_final, cfg.output_every)
+    ctrl = StepControl(cfg.cfl_safety, cfg.dt_max)
     state = RunState()
     acc = ENormAccumulator()
 
     f = data.copy()
     initial_mass = f.mass()
     sharp0 = pullback_sharp(f)
-    records = []
-    snapshots = {}
-    snap_left = sorted(set(float(s) for s in snapshot_times))
-
-    rec, sharp = _make_record(f, p, cfg, hp, spec, sharp0, state, acc)
-    records.append(rec)
-    if snap_left and abs(snap_left[0] - 0.0) < 1e-9:
-        snapshots[snap_left.pop(0)] = sharp
+    records = [_make_record(f, p, cfg, hp, spec, sharp0, state, acc)]
     if checkpoint_cb is not None:
         checkpoint_cb(f)
 
-    next_out = cfg.output_every
-    t = 0.0
+    t = f.time
+    next_out = 0.0
+    while next_out <= t + 1e-9:
+        next_out += cfg.output_every
     while t < cfg.t_final - 1e-12:
-        target = min(cfg.t_final, next_out)
-        if snap_left:
-            target = min(target, snap_left[0])
-        dt = min(cfg.dt_max, target - t)
+        dt = min(cfg.dt_max, min(cfg.t_final, next_out) - t)
         if transport_only:
             f = transport_shift(f, dt)
         else:
@@ -227,16 +217,10 @@ def run(cfg: SimulationConfig, data: DistributionField = None, snapshot_times=()
         if initial_mass > 0.0 and state.clipped_mass > CLIP_BUDGET * initial_mass:
             raise ClipBudgetExceeded(
                 f"clipped {state.clipped_mass:.3g} of initial mass {initial_mass:.3g}")
-        at_output = t >= next_out - 1e-9 or t >= cfg.t_final - 1e-12
-        at_snap = snap_left and t >= snap_left[0] - 1e-9
-        if at_output or at_snap:
-            rec, sharp = _make_record(f, p, cfg, hp, spec, sharp0, state, acc)
-            if at_output:
-                records.append(rec)
-                if checkpoint_cb is not None:
-                    checkpoint_cb(f)
-                while next_out <= t + 1e-9:
-                    next_out += cfg.output_every
-            if at_snap:
-                snapshots[snap_left.pop(0)] = sharp
-    return RunArtifacts(cfg, records, snapshots, f, state.clipped_mass)
+        if t >= next_out - 1e-9 or t >= cfg.t_final - 1e-12:
+            records.append(_make_record(f, p, cfg, hp, spec, sharp0, state, acc))
+            if checkpoint_cb is not None:
+                checkpoint_cb(f)
+            while next_out <= t + 1e-9:
+                next_out += cfg.output_every
+    return RunArtifacts(cfg, records, f, state.clipped_mass)

@@ -8,9 +8,11 @@ import pytest
 
 from landau.cli import (load_checkpoint, main, read_ndjson, record_to_json,
                         save_checkpoint, write_ndjson)
+from landau.config import parse_config
 from landau.diagnostics import DiagnosticRecord
 from landau.errors import LandauError
 from landau.phase_state import DistributionField, Grid
+from landau.stepper import run
 
 
 def _field():
@@ -112,9 +114,20 @@ def test_cli_resume_from_checkpoint(tmp_path):
     cfg = _write_cfg(tmp_path)
     out = str(tmp_path / "out")
     assert main(["run", "--config", cfg, "--output", out, "--quiet"]) == 0
-    # resuming restarts the configured schedule from the stored field
+    # resuming at t_final takes no step and records the stored field once
     assert main(["run", "--config", cfg, "--output", out,
                  "--resume", out + "/final.lndk", "--quiet"]) == 0
+    assert [row["t"] for row in read_ndjson(out + "/diagnostics.ndjson")] == [2.0]
+    assert load_checkpoint(out + "/final.lndk")[0].time == 2.0
+
+
+def test_resume_matches_uninterrupted_run(tmp_path):
+    whole = run(parse_config(_write_cfg(tmp_path)))
+    first = run(parse_config(_write_cfg(tmp_path, t_final=1.0)))
+    second = run(parse_config(_write_cfg(tmp_path)), data=first.final)
+    assert second.final.time == whole.final.time == 2.0
+    assert np.array_equal(second.final.values, whole.final.values)
+    assert [r.t for r in second.records] == [r.t for r in whole.records if r.t >= 1.0]
 
 
 def test_cli_maxfit_on_checkpoint(tmp_path, capsys):

@@ -94,7 +94,7 @@ def test_point_mass_reproduces_kernel_table():
     vals[j] = 1.0
     f = DistributionField(0.0, vals, g)
     out = compute_coefficients(f, p)
-    tables, _, _ = kernel_tables(g, p)
+    tables, _ = kernel_tables(g, p)
     n = g.n_v
     scale = g.dv ** 2
     for (i, k), name in (((0, 0), "a00"), ((0, 1), "a01"), ((1, 1), "a11")):
@@ -106,7 +106,7 @@ def test_point_mass_reproduces_kernel_table():
 def test_tables_symmetry():
     g = Grid(0, 2, 1, 8, 1.0, 2.0)
     p = KernelParams(-1.0, 2)
-    tables, _, _ = kernel_tables(g, p)
+    tables, _ = kernel_tables(g, p)
     # a(z) is even in z, b odd, c even
     for name in ("a00", "a01", "a11", "c"):
         t = tables[name]

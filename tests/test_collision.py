@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from landau.coefficients import compute_coefficients
 from landau.collision import (apply_collision_divergence,
-                              apply_collision_nonconservative,
-                              conserved_moments, h_functional)
+                              apply_collision_nonconservative, h_functional)
+from landau.diagnostics import conserved_moments
 from landau.kernel import KernelParams
 from landau.phase_state import DistributionField, Grid
 from landau.stepper import RunState, StepControl, collision_substep
@@ -27,7 +30,7 @@ def test_zero_field_gives_zero_q():
     f = DistributionField(0.0, np.zeros(g.shape), g)
     coeffs = compute_coefficients(f, p)
     for op in (apply_collision_divergence, apply_collision_nonconservative):
-        assert np.all(op(f.values, coeffs, g).q_values == 0.0)
+        assert np.all(op(f.values, coeffs, g) == 0.0)
 
 
 def test_divergence_form_conserves_mass_random():
@@ -37,10 +40,36 @@ def test_divergence_form_conserves_mass_random():
     for _ in range(5):
         f = DistributionField(0.0, rng.random(g.shape), g)
         coeffs = compute_coefficients(f, p)
-        q = apply_collision_divergence(f.values, coeffs, g).q_values
+        q = apply_collision_divergence(f.values, coeffs, g)
         mass, _, _ = conserved_moments(q, g)
         scale = conserved_moments(f.values, g)[0]
         assert abs(mass) <= 1e-13 * scale
+
+
+@st.composite
+def _collision_inputs(draw):
+    """Random nonnegative f on a small velocity grid, with a kernel exponent.
+
+    A d_v = 3 kernel table takes seconds to build, so at d_v = 3 the exponent
+    is one of three values and n_v is fixed, and the cached tables are reused.
+    """
+    d = draw(st.sampled_from([2, 3]))
+    if d == 2:
+        n_v, gamma = draw(st.integers(4, 12)), draw(st.floats(-1.95, -0.05))
+    else:
+        n_v, gamma = 5, draw(st.sampled_from([-1.9, -1.0, -0.1]))
+    grid = Grid(0, d, 1, n_v, 1.0, 2.0)
+    values = draw(hnp.arrays(float, grid.shape, elements=st.floats(0.0, 1.0)))
+    return grid, values, gamma
+
+
+@settings(max_examples=30, deadline=None)
+@given(_collision_inputs())
+def test_divergence_form_conserves_mass_property(inputs):
+    g, values, gamma = inputs
+    coeffs = compute_coefficients(DistributionField(0.0, values, g), KernelParams(gamma, g.d_v))
+    q = apply_collision_divergence(values, coeffs, g)
+    assert abs(conserved_moments(q, g)[0]) <= 1e-12 * conserved_moments(values, g)[0]
 
 
 def test_momentum_machine_zero_for_symmetric_data():
@@ -48,7 +77,7 @@ def test_momentum_machine_zero_for_symmetric_data():
     p = KernelParams(-1.0, 2)
     f = _maxwellian(g)
     coeffs = compute_coefficients(f, p)
-    q = apply_collision_divergence(f.values, coeffs, g).q_values
+    q = apply_collision_divergence(f.values, coeffs, g)
     _, mom, _ = conserved_moments(q, g)
     assert np.max(np.abs(mom)) < 1e-12
 
@@ -62,7 +91,7 @@ def test_maxwellian_q_and_energy_converge():
         g = Grid(0, 2, 1, n, 1.0, 6.0)
         f = _maxwellian(g)
         coeffs = compute_coefficients(f, p)
-        q = apply_collision_divergence(f.values, coeffs, g).q_values
+        q = apply_collision_divergence(f.values, coeffs, g)
         qs.append(np.max(np.abs(q)))
         es.append(abs(conserved_moments(q, g)[2]))
     for seq in (qs, es):
@@ -80,8 +109,8 @@ def test_forms_agree_under_refinement():
         vals = (1.5 + np.tanh(v1) + 0.5 * np.tanh(v2)) * np.exp(-(v1 ** 2 + v2 ** 2) / 2.0)
         f = DistributionField(0.0, vals, g)
         coeffs = compute_coefficients(f, p)
-        qd = apply_collision_divergence(f.values, coeffs, g).q_values
-        qn = apply_collision_nonconservative(f.values, coeffs, g).q_values
+        qd = apply_collision_divergence(f.values, coeffs, g)
+        qn = apply_collision_nonconservative(f.values, coeffs, g)
         errs.append(np.max(np.abs(qd - qn)))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 0.9, (errs, orders)

@@ -7,8 +7,8 @@ import pytest
 
 from landau.diagnostics import (ENormAccumulator, apply_derivatives, e_norm,
                                 fit_decay_rate, hierarchy_params,
-                                macroscopic_fields, null_structure_gain,
-                                sharp_cauchy_diff, z_norm)
+                                null_structure_gain, sharp_cauchy_diff,
+                                velocity_moments, z_norm)
 from landau.errors import (GammaOutOfRange, GridMismatch, InsufficientPoints,
                            NonPositiveValue, OrderTooHigh)
 from landau.phase_state import DistributionField, Grid
@@ -111,13 +111,14 @@ def test_e_norm_accumulator_trapezoid():
     assert acc.value == pytest.approx(2.0)  # sqrt(0.5*2*(1+3))
 
 
-def test_macroscopic_fields_uniform():
+def test_velocity_moments_uniform():
     g = Grid(1, 2, 4, 16, 8.0, 2.0)
-    f = DistributionField(0.0, np.ones(g.shape), g)
-    out = macroscopic_fields(f)
-    assert out["rho_sup"] == pytest.approx(16.0)
-    assert out["m_sup"] < 1e-12
-    assert out["e_sup"] > 0.0
+    rho, m, e = velocity_moments(np.ones(g.shape), g)
+    assert rho.shape == e.shape == (4,)
+    assert m.shape == (4, 2)
+    assert np.max(np.abs(rho)) == pytest.approx(16.0)
+    assert np.max(np.abs(m)) < 1e-12
+    assert np.max(np.abs(e)) > 0.0
 
 
 def test_fit_decay_rate_recovers_power_law():

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from landau.collision import conserved_moments
 from landau.config import SimulationConfig, initial_data
+from landau.diagnostics import conserved_moments
 from landau.errors import CflViolation
 from landau.kernel import KernelParams
 from landau.phase_state import DistributionField, Grid
 from landau.stepper import (RunState, StepControl, collision_substep, run,
                             strang_step)
+from landau.transport import pullback_sharp
 
 
 def _small_cfg(**over):
@@ -96,10 +97,10 @@ def test_run_mass_drift_budget():
 
 def test_run_snapshots_are_sharp_fields():
     cfg = _small_cfg(t_final=4.0, output_every=2.0)
-    art = run(cfg, snapshot_times=(0.0, 4.0))
-    assert set(art.sharp_snapshots) == {0.0, 4.0}
-    s0 = art.sharp_snapshots[0.0]
-    s4 = art.sharp_snapshots[4.0]
+    art = run(cfg)
+    s0 = pullback_sharp(initial_data(cfg))
+    s4 = pullback_sharp(art.final)
+    assert art.final.time == 4.0
     assert s0.grid == s4.grid
     # near-vacuum: f-sharp moves very little
     denom = np.max(np.abs(s0.values))
@@ -108,9 +109,9 @@ def test_run_snapshots_are_sharp_fields():
 
 def test_transport_only_run_freezes_sharp():
     cfg = _small_cfg(t_final=4.0, output_every=2.0)
-    art = run(cfg, snapshot_times=(0.0, 4.0), transport_only=True)
-    s0 = art.sharp_snapshots[0.0]
-    s4 = art.sharp_snapshots[4.0]
+    art = run(cfg, transport_only=True)
+    s0 = pullback_sharp(initial_data(cfg))
+    s4 = pullback_sharp(art.final)
     assert np.max(np.abs(s4.values - s0.values)) <= 1e-12 * np.max(s0.values)
     assert art.records[-1].sharp_diff_vs_t0 <= 1e-10
 
