@@ -13,6 +13,7 @@ DiagnosticRecord fields) and LNDK binary checkpoints.
 import argparse
 import dataclasses
 import json
+import math
 import os
 import struct
 import sys
@@ -21,7 +22,7 @@ import numpy as np
 
 from .config import parse_config
 from .diagnostics import fit_decay_rate, null_structure_gain
-from .errors import LandauError
+from .errors import CheckpointInvalid, LandauError
 from .maxwellian import fit_maxwellian
 from .phase_state import DistributionField, Grid
 from .stepper import run as run_sim
@@ -29,6 +30,7 @@ from .transport import pullback_sharp
 
 CHECKPOINT_MAGIC = b"LNDK"
 CHECKPOINT_VERSION = 1
+CHECKPOINT_HEADER_BYTES = 72  # magic, version, 4 int64 and 4 float64
 
 
 def save_checkpoint(path, f: DistributionField, gamma):
@@ -43,20 +45,35 @@ def save_checkpoint(path, f: DistributionField, gamma):
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint; returns (DistributionField, gamma)."""
+    """Inverse of save_checkpoint; returns (DistributionField, gamma).
+
+    Raises CheckpointInvalid unless the file is a whole checkpoint of a valid
+    grid with a finite header and finite values.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise LandauError(f"{path}: bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise LandauError(f"{path}: unsupported checkpoint version {version}")
-        d_x, d_v, n_x, n_v = struct.unpack("<4q", fh.read(32))
-        L_x, v_max, gamma, t = struct.unpack("<4d", fh.read(32))
+        blob = fh.read()
+    if blob[:4] != CHECKPOINT_MAGIC:
+        raise CheckpointInvalid(f"{path}: bad checkpoint magic {blob[:4]!r}")
+    if len(blob) < CHECKPOINT_HEADER_BYTES:
+        raise CheckpointInvalid(f"{path}: header truncated at {len(blob)} bytes")
+    (version,) = struct.unpack_from("<I", blob, 4)
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointInvalid(f"{path}: unsupported checkpoint version {version}")
+    d_x, d_v, n_x, n_v = struct.unpack_from("<4q", blob, 8)
+    L_x, v_max, gamma, t = struct.unpack_from("<4d", blob, 40)
+    if not all(map(math.isfinite, (L_x, v_max, gamma, t))):
+        raise CheckpointInvalid(f"{path}: nonfinite header value")
+    try:
         grid = Grid(d_x, d_v, n_x, n_v, L_x, v_max)
-        count = int(np.prod(grid.shape))
-        vals = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(grid.shape)
-    return DistributionField(t, vals.copy(), grid), gamma
+    except ValueError as exc:
+        raise CheckpointInvalid(f"{path}: invalid grid: {exc}") from exc
+    size = CHECKPOINT_HEADER_BYTES + 8 * math.prod(grid.shape)
+    if len(blob) != size:
+        raise CheckpointInvalid(f"{path}: {len(blob)} bytes, its grid needs {size}")
+    vals = np.frombuffer(blob, dtype="<f8", offset=CHECKPOINT_HEADER_BYTES)
+    if not np.all(np.isfinite(vals)):
+        raise CheckpointInvalid(f"{path}: nonfinite values in the field")
+    return DistributionField(t, vals.reshape(grid.shape).copy(), grid), gamma
 
 
 def record_to_json(rec):
@@ -80,6 +97,19 @@ def read_ndjson(path):
     return rows
 
 
+def _checkpoint_index(t, cfg):
+    """Index k of the checkpoint that the output at time t holds, or None.
+
+    Checkpoint k is the first output at or after k * checkpoint_every.  Outputs
+    fall on the multiples of output_every and on t_final, so the output before
+    t is the last multiple of output_every below t.  The index depends on t
+    alone, so a resumed run continues the numbering of an uninterrupted one.
+    """
+    k = math.floor((t + 1e-9) / cfg.checkpoint_every)
+    prev_out = cfg.output_every * (math.ceil((t - 1e-9) / cfg.output_every) - 1)
+    return k if k * cfg.checkpoint_every > prev_out + 1e-9 else None
+
+
 def cmd_run(args):
     cfg = parse_config(args.config)
     outdir = args.output or cfg.output_directory
@@ -88,19 +118,13 @@ def cmd_run(args):
     if args.resume:
         data, _ = load_checkpoint(args.resume)
 
-    ckpt_idx = [0]
-    next_ckpt = [0.0]
-
     def checkpoint_cb(f):
-        if cfg.checkpoint_every <= 0.0:
-            return
-        if f.time + 1e-9 >= next_ckpt[0]:
-            path = os.path.join(outdir, f"checkpoint_{ckpt_idx[0]:05d}.lndk")
-            save_checkpoint(path, f, cfg.gamma)
-            ckpt_idx[0] += 1
-            next_ckpt[0] += cfg.checkpoint_every
+        k = _checkpoint_index(f.time, cfg)
+        if k is not None:
+            save_checkpoint(os.path.join(outdir, f"checkpoint_{k:05d}.lndk"), f, cfg.gamma)
 
-    art = run_sim(cfg, data=data, checkpoint_cb=checkpoint_cb)
+    art = run_sim(cfg, data=data,
+                  checkpoint_cb=checkpoint_cb if cfg.checkpoint_every > 0.0 else None)
     ndjson_path = os.path.join(outdir, "diagnostics.ndjson")
     write_ndjson(ndjson_path, art.records)
     save_checkpoint(os.path.join(outdir, "final.lndk"), art.final, cfg.gamma)

@@ -73,6 +73,10 @@ class ConfigInvalid(LandauError):
         super().__init__(f"{gate}: {message}" if message else gate)
 
 
+class CheckpointInvalid(LandauError):
+    """A checkpoint file is not a whole LNDK checkpoint of a finite field."""
+
+
 class ParseError(LandauError):
     """Configuration file is malformed."""
 

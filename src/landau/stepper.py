@@ -3,7 +3,7 @@
 Transport is spectrally exact, so the splitting error is localized in the
 collision substep, an explicit midpoint (RK2) update with coefficients
 recomputed at each stage and CFL-limited sub-cycling.  Negative values created
-by the update are clipped to zero; the clipped mass is accumulated and the run
+by the update are clipped to zero; the clipped mass is accumulated and run()
 aborts if it exceeds CLIP_BUDGET of the initial mass.
 """
 
@@ -25,22 +25,13 @@ from .phase_state import DistributionField, WeightSpec, bracket, to_g
 from .transport import pullback_sharp, transport_shift
 
 CLIP_BUDGET = 1e-8
+CLIP_REL_TOL = 1e-14
 MAX_SUBCYCLES = 10000
-
-
-@dataclass
-class StepControl:
-    cfl_safety: float = 0.5
-    dt_max: float = 0.25
-    max_subcycles: int = MAX_SUBCYCLES
 
 
 @dataclass
 class RunState:
     clipped_mass: float = 0.0
-
-
-CLIP_REL_TOL = 1e-14
 
 
 def _clip(values, state: RunState, cell_volume):
@@ -58,37 +49,39 @@ def _clip(values, state: RunState, cell_volume):
     return values
 
 
-def _collision_dt(coeffs, grid, ctrl: StepControl):
+def _collision_dt(coeffs, grid, cfl_safety):
     amax = float(np.max(np.abs(coeffs.a_bar)))
     cmax = float(np.max(np.abs(coeffs.c_bar)))
     dt = math.inf
     if amax > 0.0:
-        dt = min(dt, ctrl.cfl_safety * grid.dv ** 2 / (2.0 * grid.d_v * amax))
+        dt = min(dt, cfl_safety * grid.dv ** 2 / (2.0 * grid.d_v * amax))
     if cmax > 0.0:
-        dt = min(dt, ctrl.cfl_safety / cmax)
+        dt = min(dt, cfl_safety / cmax)
     return dt
 
 
-def collision_substep(f: DistributionField, dt, p: KernelParams, ctrl: StepControl,
+def collision_substep(f: DistributionField, dt, p: KernelParams, cfl_safety,
                       state: RunState):
     """Sub-cycled RK2 integration of d_t f = Q(f, f) at fixed x."""
     grid = f.grid
     if float(np.max(f.values)) == 0.0:
         return DistributionField(f.time, f.values, f.grid)
     coeffs = compute_coefficients(f, p)
-    dt_cfl = _collision_dt(coeffs, grid, ctrl)
+    dt_cfl = _collision_dt(coeffs, grid, cfl_safety)
     nsub = max(1, math.ceil(dt / dt_cfl)) if math.isfinite(dt_cfl) else 1
-    if nsub > ctrl.max_subcycles:
-        raise CflViolation(f"{nsub} collision sub-cycles needed, cap {ctrl.max_subcycles}")
+    if nsub > MAX_SUBCYCLES:
+        raise CflViolation(f"{nsub} collision sub-cycles needed, cap {MAX_SUBCYCLES}")
     h = dt / nsub
     vals = f.values
     vol = grid.cell_volume
     for i in range(nsub):
         if i > 0:
-            coeffs = compute_coefficients(DistributionField(f.time, vals, grid), p)
+            coeffs = compute_coefficients(DistributionField(f.time, vals, grid), p,
+                                          with_c=False)
         k1 = apply_collision_divergence(vals, coeffs, grid)
         mid = _clip(vals + 0.5 * h * k1, state, vol)
-        coeffs_mid = compute_coefficients(DistributionField(f.time, mid, grid), p)
+        coeffs_mid = compute_coefficients(DistributionField(f.time, mid, grid), p,
+                                          with_c=False)
         k2 = apply_collision_divergence(mid, coeffs_mid, grid)
         vals = _clip(vals + h * k2, state, vol)
         if not np.all(np.isfinite(vals)):
@@ -96,25 +89,41 @@ def collision_substep(f: DistributionField, dt, p: KernelParams, ctrl: StepContr
     return DistributionField(f.time, vals, grid)
 
 
-def strang_step(f: DistributionField, dt, p: KernelParams, ctrl: StepControl,
-                state: RunState = None):
+def strang_step(f: DistributionField, dt, p: KernelParams, cfl_safety, state: RunState):
     """T(dt/2) o C(dt) o T(dt/2)."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if state is None:
-        state = RunState()
     vol = f.grid.cell_volume
     half = transport_shift(f, 0.5 * dt)
     half.values = _clip(half.values, state, vol)
-    collided = collision_substep(half, dt, p, ctrl, state)
+    collided = collision_substep(half, dt, p, cfl_safety, state)
     out = transport_shift(collided, 0.5 * dt)
     out.values = _clip(out.values, state, vol)
     return out
 
 
+def advance(cfg: SimulationConfig, f: DistributionField, p: KernelParams, state: RunState,
+            transport_only=False):
+    """Step f from f.time to t_final, yielding (f, at_output) after every step.
+
+    Outputs fall on the multiples of output_every after f.time and on t_final.
+    Each step, free transport or a Strang step, is at most dt_max and is
+    shortened to land on the next output.
+    """
+    next_out = 0.0
+    while f.time < cfg.t_final - 1e-12:
+        while next_out <= f.time + 1e-9:
+            next_out += cfg.output_every
+        dt = min(cfg.dt_max, min(cfg.t_final, next_out) - f.time)
+        if transport_only:
+            f = transport_shift(f, dt)
+        else:
+            f = strang_step(f, dt, p, cfg.cfl_safety, state)
+        yield f, f.time >= next_out - 1e-9 or f.time >= cfg.t_final - 1e-12
+
+
 @dataclass
 class RunArtifacts:
-    config: SimulationConfig
     records: list
     final: DistributionField
     clipped_mass: float
@@ -192,7 +201,6 @@ def run(cfg: SimulationConfig, data: DistributionField = None, transport_only=Fa
     p = cfg.kernel_params()
     hp = hierarchy_params(cfg.gamma)
     spec = WeightSpec.from_gamma(cfg.gamma, gaussian=True, d0=cfg.d0)
-    ctrl = StepControl(cfg.cfl_safety, cfg.dt_max)
     state = RunState()
     acc = ENormAccumulator()
 
@@ -203,24 +211,12 @@ def run(cfg: SimulationConfig, data: DistributionField = None, transport_only=Fa
     if checkpoint_cb is not None:
         checkpoint_cb(f)
 
-    t = f.time
-    next_out = 0.0
-    while next_out <= t + 1e-9:
-        next_out += cfg.output_every
-    while t < cfg.t_final - 1e-12:
-        dt = min(cfg.dt_max, min(cfg.t_final, next_out) - t)
-        if transport_only:
-            f = transport_shift(f, dt)
-        else:
-            f = strang_step(f, dt, p, ctrl, state)
-        t = f.time
+    for f, at_output in advance(cfg, f, p, state, transport_only):
         if initial_mass > 0.0 and state.clipped_mass > CLIP_BUDGET * initial_mass:
             raise ClipBudgetExceeded(
                 f"clipped {state.clipped_mass:.3g} of initial mass {initial_mass:.3g}")
-        if t >= next_out - 1e-9 or t >= cfg.t_final - 1e-12:
+        if at_output:
             records.append(_make_record(f, p, cfg, hp, spec, sharp0, state, acc))
             if checkpoint_cb is not None:
                 checkpoint_cb(f)
-            while next_out <= t + 1e-9:
-                next_out += cfg.output_every
-    return RunArtifacts(cfg, records, f, state.clipped_mass)
+    return RunArtifacts(records, f, state.clipped_mass)

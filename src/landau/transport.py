@@ -12,17 +12,24 @@ from .phase_state import DistributionField
 
 
 def _phase(grid, dt):
-    """Shift phase exp(-i dt sum_a k_a v_a), broadcast over the field shape."""
+    """Shift phase exp(-i dt sum_a k_a v_a) over the field shape.
+
+    The exponential is taken over the x axes and the v axes paired with them
+    only, as the phase is constant along the others, and then copied out to
+    the full shape: a product with a broadcast operand takes another numpy
+    loop, whose last bit can differ.
+    """
     k = 2.0 * np.pi * np.fft.fftfreq(grid.n_x, d=grid.dx)
     v = grid.v_axis()
-    expo = np.zeros(grid.shape, dtype=float)
+    paired = (grid.n_x,) * grid.d_x + (grid.n_v,) * grid.d_x
+    expo = np.zeros(paired + (1,) * (grid.d_v - grid.d_x), dtype=float)
     for a in range(grid.d_x):
         kshape = [1] * (grid.d_x + grid.d_v)
         kshape[a] = grid.n_x
         vshape = [1] * (grid.d_x + grid.d_v)
         vshape[grid.d_x + a] = grid.n_v
         expo = expo + k.reshape(kshape) * v.reshape(vshape)
-    return np.exp(-1j * dt * expo)
+    return np.broadcast_to(np.exp(-1j * dt * expo), grid.shape).copy()
 
 
 def transport_shift(f: DistributionField, dt):

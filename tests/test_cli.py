@@ -1,16 +1,20 @@
 """Checkpoint format, NDJSON stream, and the command-line entry points."""
 
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from landau.cli import (load_checkpoint, main, read_ndjson, record_to_json,
                         save_checkpoint, write_ndjson)
 from landau.config import parse_config
 from landau.diagnostics import DiagnosticRecord
-from landau.errors import LandauError
+from landau.errors import CheckpointInvalid, LandauError
 from landau.phase_state import DistributionField, Grid
 from landau.stepper import run
 
@@ -21,12 +25,23 @@ def _field():
     return DistributionField(1.25, rng.random(g.shape), g)
 
 
-def test_checkpoint_round_trip(tmp_path):
-    path = str(tmp_path / "state.lndk")
-    f = _field()
-    save_checkpoint(path, f, -1.3)
-    back, gamma = load_checkpoint(path)
-    assert gamma == -1.3
+@st.composite
+def _fields(draw):
+    d_v = draw(st.sampled_from([2, 3]))
+    d_x = draw(st.integers(0, 2))
+    grid = Grid(d_x, d_v, draw(st.integers(1, 4)), draw(st.integers(2, 5)),
+                draw(st.floats(0.5, 1e3)), draw(st.floats(0.5, 20.0)))
+    values = draw(hnp.arrays(np.float64, grid.shape, elements=st.floats(0.0, 1e300)))
+    return DistributionField(draw(st.floats(0.0, 1e6)), values, grid)
+
+
+@settings(max_examples=50, deadline=None)
+@given(f=_fields(), gamma=st.floats(-2.0, 0.0, exclude_min=True, exclude_max=True))
+def test_checkpoint_round_trip(tmp_path_factory, f, gamma):
+    path = str(tmp_path_factory.mktemp("lndk") / "state.lndk")
+    save_checkpoint(path, f, gamma)
+    back, back_gamma = load_checkpoint(path)
+    assert back_gamma == gamma
     assert back.time == f.time
     assert back.grid == f.grid
     assert np.array_equal(back.values, f.values)
@@ -51,6 +66,30 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 100)
     with pytest.raises(LandauError):
         load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("kind", ["body", "trailing", "header", "grid", "inf", "nan"])
+def test_checkpoint_rejects_corrupt_file(tmp_path, capsys, kind):
+    path = tmp_path / "state.lndk"
+    save_checkpoint(str(path), _field(), -1.0)
+    blob = bytearray(path.read_bytes())
+    if kind == "body":
+        del blob[-8:]
+    elif kind == "trailing":
+        blob += bytes(8)
+    elif kind == "header":
+        del blob[40:]
+    elif kind == "grid":
+        struct.pack_into("<q", blob, 8, 3)  # d_x = 3 > d_v = 2
+    elif kind == "inf":
+        struct.pack_into("<d", blob, 48, math.inf)  # v_max
+    else:
+        struct.pack_into("<d", blob, 72, math.nan)  # the first cell
+    path.write_bytes(blob)
+    with pytest.raises(CheckpointInvalid):
+        load_checkpoint(str(path))
+    assert main(["maxfit", str(path)]) == 1
+    assert "CheckpointInvalid" in capsys.readouterr().err
 
 
 def _record(t):
@@ -79,7 +118,7 @@ def test_record_to_json_deterministic():
     assert record_to_json(_record(1.0)) == record_to_json(_record(1.0))
 
 
-def _write_cfg(tmp_path, **time_over):
+def _write_cfg(tmp_path, checkpoint_every=0.0, **time_over):
     time = {"t_final": 2.0, "dt_max": 0.25, "output_every": 1.0}
     time.update(time_over)
     raw = {
@@ -90,7 +129,7 @@ def _write_cfg(tmp_path, **time_over):
         "time": time,
         "initial_data": {"kind": "gaussian",
                          "parameters": {"x_width": 35.0, "v_width": 1.0}},
-        "output": {"directory": str(tmp_path / "out")},
+        "output": {"directory": str(tmp_path / "out"), "checkpoint_every": checkpoint_every},
     }
     path = tmp_path / "run.json"
     path.write_text(json.dumps(raw))
@@ -128,6 +167,23 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     assert second.final.time == whole.final.time == 2.0
     assert np.array_equal(second.final.values, whole.final.values)
     assert [r.t for r in second.records] == [r.t for r in whole.records if r.t >= 1.0]
+
+
+def test_resume_writes_the_uninterrupted_checkpoints(tmp_path):
+    whole, split = tmp_path / "whole", tmp_path / "split"
+    timing = dict(output_every=0.25, checkpoint_every=1.0)
+    cfg = _write_cfg(tmp_path, **timing)
+    assert main(["run", "--config", cfg, "--output", str(whole), "--quiet"]) == 0
+    first = _write_cfg(tmp_path, t_final=1.0, **timing)
+    assert main(["run", "--config", first, "--output", str(split), "--quiet"]) == 0
+    cfg = _write_cfg(tmp_path, **timing)
+    assert main(["run", "--config", cfg, "--output", str(split),
+                 "--resume", str(split / "final.lndk"), "--quiet"]) == 0
+    names = sorted(p.name for p in whole.glob("checkpoint_*"))
+    assert names == [f"checkpoint_{k:05d}.lndk" for k in range(3)]
+    assert [load_checkpoint(str(whole / n))[0].time for n in names] == [0.0, 1.0, 2.0]
+    assert sorted(p.name for p in split.glob("checkpoint_*")) == names
+    assert all((whole / n).read_bytes() == (split / n).read_bytes() for n in names)
 
 
 def test_cli_maxfit_on_checkpoint(tmp_path, capsys):

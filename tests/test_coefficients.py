@@ -43,6 +43,34 @@ def test_fft_matches_direct_3d():
     assert np.allclose(fast.c_bar, slow.c_bar, atol=1e-12)
 
 
+@pytest.mark.parametrize("grid", [Grid(1, 2, 20, 16, 10.0, 3.0), Grid(1, 3, 2, 4, 10.0, 2.0)])
+def test_fft_is_bitwise_the_padded_transform(grid):
+    # compute_coefficients transforms blocks of cells and only the lines that
+    # hold data or kept outputs; 20 cells make two full blocks and a partial one
+    p = KernelParams(-1.0, grid.d_v)
+    n, m, d = grid.n_v, 2 * grid.n_v, grid.d_v
+    vals = np.random.default_rng(7).random(grid.shape)
+    out = compute_coefficients(DistributionField(0.0, vals, grid), p)
+    padded = np.zeros((grid.n_x,) + (m,) * d)
+    padded[(slice(None),) + (slice(0, n),) * d] = vals
+    axes = tuple(range(1, d + 1))
+    fhat = np.fft.rfftn(padded, axes=axes)
+    that = kernel_tables(grid, p)[1]["c"]
+    conv = np.fft.irfftn(fhat * that[None], s=(m,) * d, axes=axes)
+    assert np.array_equal(out.c_bar, conv[(slice(None),) + (slice(0, n),) * d] * grid.dv ** d)
+
+
+def test_with_c_false_skips_only_c_bar():
+    g = Grid(1, 2, 4, 12, 10.0, 3.0)
+    p = KernelParams(-1.0, 2)
+    f = DistributionField(0.0, np.random.default_rng(8).random(g.shape), g)
+    full = compute_coefficients(f, p)
+    part = compute_coefficients(f, p, with_c=False)
+    assert part.c_bar is None
+    assert np.array_equal(part.a_bar, full.a_bar)
+    assert np.array_equal(part.b_bar, full.b_bar)
+
+
 def test_a_bar_positive_semidefinite_and_symmetric():
     g = Grid(0, 2, 1, 24, 1.0, 4.0)
     p = KernelParams(-1.0, 2)

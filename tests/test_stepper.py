@@ -10,8 +10,8 @@ from landau.diagnostics import conserved_moments
 from landau.errors import CflViolation
 from landau.kernel import KernelParams
 from landau.phase_state import DistributionField, Grid
-from landau.stepper import (RunState, StepControl, collision_substep, run,
-                            strang_step)
+import landau.stepper
+from landau.stepper import RunState, advance, collision_substep, run, strang_step
 from landau.transport import pullback_sharp
 
 
@@ -29,12 +29,11 @@ def test_strang_step_conserves_mass():
     cfg = _small_cfg()
     f = initial_data(cfg)
     p = cfg.kernel_params()
-    ctrl = StepControl(0.5, 0.25)
     state = RunState()
     m0 = f.mass()
     g = f
     for _ in range(4):
-        g = strang_step(g, 0.25, p, ctrl, state)
+        g = strang_step(g, 0.25, p, 0.5, state)
     drift = abs(g.mass() - m0) / m0
     assert drift <= 1e-10 + state.clipped_mass / m0 * 1.5
     assert g.time == pytest.approx(1.0)
@@ -46,7 +45,7 @@ def test_collision_substep_homogeneous_moments():
     f = DistributionField(0.0, np.exp(-(v1 ** 2 + v2 ** 2) / 2.0), g)
     p = KernelParams(-1.0, 2)
     state = RunState()
-    out = collision_substep(f, 0.1, p, StepControl(0.5, 0.1), state)
+    out = collision_substep(f, 0.1, p, 0.5, state)
     m0, mo0, _ = conserved_moments(f.values, g)
     m1, mo1, _ = conserved_moments(out.values, g)
     # the divergence form is exactly conservative; any drift is logged clip mass
@@ -57,17 +56,46 @@ def test_collision_substep_homogeneous_moments():
 def test_collision_substep_zero_field_noop():
     g = Grid(0, 2, 1, 8, 1.0, 1.0)
     f = DistributionField(0.0, np.zeros(g.shape), g)
-    out = collision_substep(f, 1.0, KernelParams(-1.0, 2), StepControl(), RunState())
+    out = collision_substep(f, 1.0, KernelParams(-1.0, 2), 0.5, RunState())
     assert np.all(out.values == 0.0)
 
 
-def test_subcycle_cap_raises():
+def test_subcycle_cap_raises(monkeypatch):
     g = Grid(0, 2, 1, 32, 1.0, 6.0)
     v1, v2 = g.v_mesh()
     f = DistributionField(0.0, 50.0 * np.exp(-(v1 ** 2 + v2 ** 2) / 2.0), g)
-    ctrl = StepControl(0.5, 10.0, max_subcycles=3)
+    monkeypatch.setattr(landau.stepper, "MAX_SUBCYCLES", 3)
     with pytest.raises(CflViolation):
-        collision_substep(f, 10.0, KernelParams(-1.0, 2), ctrl, RunState())
+        collision_substep(f, 10.0, KernelParams(-1.0, 2), 0.5, RunState())
+
+
+def _outputs(cfg, f):
+    """(t, dt) of every step advance takes from f, and the fields at its outputs."""
+    steps, outs = [], []
+    t = f.time
+    for g, at_output in advance(cfg, f, cfg.kernel_params(), RunState(), transport_only=True):
+        steps.append((g.time, g.time - t))
+        t = g.time
+        if at_output:
+            outs.append(g)
+    return steps, outs
+
+
+def test_advance_lands_on_every_output():
+    # output_every is not a multiple of dt_max, so steps are shortened to land
+    cfg = _small_cfg(output_every=0.6, dt_max=0.25)
+    steps, outs = _outputs(cfg, initial_data(cfg))
+    want = [0.6 * k for k in range(1, 9)] + [cfg.t_final]
+    assert len(outs) == len(want)
+    assert all(abs(g.time - w) <= 1e-12 for g, w in zip(outs, want))
+    # dt is read back as a difference of times, so it carries their round-off
+    assert all(0.0 < dt <= cfg.dt_max + 1e-12 for _, dt in steps)
+    assert steps[-1][0] == outs[-1].time
+    assert [dt for _, dt in steps[:3]] == pytest.approx([0.25, 0.25, 0.1])
+    # starting from the field at t = 1.2 yields the tail of the same schedule
+    tail_steps, tail = _outputs(cfg, outs[1])
+    assert [g.time for g in tail] == [g.time for g in outs[2:]]
+    assert tail_steps == [s for s in steps if s[0] > outs[1].time]
 
 
 def test_run_emits_records_and_final_state():
