@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import parse_config
 from .diagnostics import fit_decay_rate, null_structure_gain
-from .errors import CheckpointInvalid, LandauError
+from .errors import CheckpointInvalid, ConfigInvalid, LandauError
 from .maxwellian import fit_maxwellian
 from .phase_state import DistributionField, Grid
 from .stepper import run as run_sim
@@ -112,11 +112,15 @@ def _checkpoint_index(t, cfg):
 
 def cmd_run(args):
     cfg = parse_config(args.config)
-    outdir = args.output or cfg.output_directory
-    os.makedirs(outdir, exist_ok=True)
     data = None
     if args.resume:
-        data, _ = load_checkpoint(args.resume)
+        data, gamma = load_checkpoint(args.resume)
+        if data.grid != cfg.grid() or gamma != cfg.gamma:
+            raise ConfigInvalid(
+                "resume", f"{args.resume} holds gamma = {gamma} on {data.grid}, "
+                f"the config gamma = {cfg.gamma} on {cfg.grid()}")
+    outdir = args.output or cfg.output_directory
+    os.makedirs(outdir, exist_ok=True)
 
     def checkpoint_cb(f):
         k = _checkpoint_index(f.time, cfg)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NegativeInput
 from .kernel import KernelParams, cell_averaged_kernel, kernel_c, kernel_divergence, kernel_matrix, SINGULAR_CELL_RADIUS
-from .phase_state import DistributionField, Grid, bracket
+from .phase_state import DistributionField, Grid
 
 _TABLE_CACHE = {}
 # Spatial cells per FFT pass.  A block's spectra stay in cache: at d_v = 2,
@@ -165,23 +165,25 @@ def compute_coefficients(f: DistributionField, p: KernelParams, method="fft", wi
     return CoefficientFields(f.time, grid, a_bar, b_bar, c_bar)
 
 
-def coefficient_sup_norms(coeffs: CoefficientFields, gamma):
+def coefficient_sup_norms(coeffs: CoefficientFields, gamma, vb, xtb):
     """Sup norms of a_bar driving the decay-rate diagnostics.
 
     plain:          sup <v>^-(2+gamma) max_ij |a_bar|
     weighted_down:  sup <x-tv>^-min{1,2+gamma} <v>^-max{0,1+gamma} max_ij |a_bar|
     c_sup:          sup |c_bar|
 
+    vb = <v> and xtb = <x-tv> at coeffs.time, both over the grid's shape.
+
     <x-tv> pairs only the first d_x velocity axes with x.  The null structure
     a(z) z = 0 makes weighted_down decay faster than plain by the predicted
     gain min{1, 2+gamma} only for d_x = d_v.  With an unpaired velocity axis,
     a_bar does not vanish on the ray x = t v and the gain is 0.
     """
-    grid = coeffs.grid
-    amax = np.max(np.abs(coeffs.a_bar), axis=(-2, -1))
-    vb = bracket(grid.v_squared())
+    # max_ij |a_bar| over the upper triangle, one component at a time
+    amax = np.abs(coeffs.a_bar[..., 0, 0])
+    for i, j in _sym_pairs(coeffs.a_bar.shape[-1])[1:]:
+        np.maximum(amax, np.abs(coeffs.a_bar[..., i, j]), out=amax)
     plain = float(np.max(amax / vb ** (2.0 + gamma)))
-    xtb = bracket(grid.x_minus_tv_squared(coeffs.time))
     wdown = amax / xtb ** min(1.0, 2.0 + gamma) / vb ** max(0.0, 1.0 + gamma)
     weighted = float(np.max(wdown))
     return {

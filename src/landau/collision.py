@@ -57,17 +57,7 @@ def apply_collision_divergence(f_slice, coeffs: CoefficientFields, grid: Grid):
         g_face -= 0.5 * (b_a[lo] + b_a[hi]) * 0.5 * (f[lo] + f[hi])
 
         # Divergence with zero-flux boundary faces.
-        shape = list(f.shape)
-        shape[ax] += 1
-        g_all = np.zeros(shape)
-        mid = [slice(None)] * nd
-        mid[ax] = slice(1, -1)
-        g_all[tuple(mid)] = g_face
-        up = [slice(None)] * nd
-        up[ax] = slice(1, None)
-        dn = [slice(None)] * nd
-        dn[ax] = slice(0, -1)
-        q += (g_all[tuple(up)] - g_all[tuple(dn)]) / dv
+        q += np.diff(g_face, axis=ax, prepend=0, append=0) / dv
     return q
 
 

@@ -30,9 +30,7 @@ class SimulationConfig:
     output_every: float = 2.5
     initial_kind: str = "gaussian"
     initial_parameters: dict = field(default_factory=dict)
-    K_diag: int = 2
     fit_window: tuple = None
-    weight_powers: tuple = (2, 2.0)
     output_directory: str = "."
     checkpoint_every: float = 0.0
 
@@ -83,9 +81,7 @@ def config_from_dict(raw):
             output_every=float(time.get("output_every", 2.5)),
             initial_kind=init.get("kind", "gaussian"),
             initial_parameters=init.get("parameters", {}),
-            K_diag=int(diag.get("K_diag", 2)),
             fit_window=tuple(diag["fit_window"]) if "fit_window" in diag else None,
-            weight_powers=tuple(diag.get("weight_powers", (2, 2.0))),
             output_directory=out.get("directory", "."),
             checkpoint_every=float(out.get("checkpoint_every", 0.0)),
         )

@@ -1,9 +1,10 @@
-"""Norms, hierarchy constants, decay-rate fits, and convergence diagnostics.
+"""The diagnostic record, its norms, hierarchy constants, and decay-rate fits.
 
 The derivative hierarchy constants (M_max, M_int, zeta_k, theta_k, p_*, p_**)
 are gamma-dependent integers/exponents controlling how much time growth and
-velocity weight each derivative order costs.  The decay diagnostics turn
-(1+t)^-r predictions into least-squares slopes of log value vs log(1+t).
+velocity weight each derivative order costs.  make_record measures one output
+time.  The decay diagnostics turn (1+t)^-r predictions into least-squares
+slopes of log value vs log(1+t).
 """
 
 import math
@@ -11,11 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (GammaOutOfRange, GridMismatch, InsufficientPoints,
-                     NonPositiveValue, OrderTooHigh)
-from .phase_state import DistributionField, bracket
+from .coefficients import coefficient_sup_norms, compute_coefficients
+from .collision import apply_collision_nonconservative, h_functional
+from .errors import GammaOutOfRange, GridMismatch, InsufficientPoints, NonPositiveValue
+from .phase_state import DistributionField, WeightSpec, bracket, to_g
+from .transport import pullback_sharp
 
-K_DIAG_DEFAULT = 2
+# The record's derivatives d_x^alpha d_v^beta Y^sigma of g, each with its
+# NDJSON key: (key, alpha, beta, sigma).
+RECORD_ORDERS = (("abs", (), (), ()), ("ab1s", (), (1,), ()), ("abs1", (), (), (1,)))
 
 
 @dataclass(frozen=True)
@@ -43,7 +48,7 @@ def hierarchy_params(gamma):
     step = math.ceil(2.0 / (2.0 + gamma) + 4.0) if soft else math.ceil(1.0 / abs(gamma) + 4.0)
     m_max = 2 + 2 * step
     m_int = m_max - step
-    delta = min((2.0 + gamma) / 4.0, 0.1)
+    delta = WeightSpec.delta_from_gamma(gamma)
 
     top = m_max - 4
     zeta = [0.0] * (top + 1)
@@ -125,46 +130,26 @@ def apply_derivatives(f: DistributionField, alpha, beta, sigma):
     return out
 
 
-def _total(idx):
-    return int(sum(idx))
+def z_norm(dg, vb, xw, t, beta, zeta, theta):
+    """Weighted sup norm of one derivative D g of g.
 
-
-def z_norm(g: DistributionField, orders, hp: HierarchyParams, zeta=0.0, theta=0.0,
-           k_max=K_DIAG_DEFAULT):
-    """Weighted sup norm of one derivative of g.
-
-    sup (1+t)^(-zeta-|beta|) <v>^(1-theta) <x-tv>^(M_max+5-|sigma|) |D g|.
+    sup (1+t)^(-zeta-|beta|) <v>^(1-theta) <x-tv>^(M_max+5-|sigma|) |D g|, with
+    vb = <v>, xw = <x-tv>^(M_max+5-|sigma|) and beta = |beta|.
     """
-    alpha, beta, sigma = orders
-    if _total(alpha) + _total(beta) + _total(sigma) > k_max:
-        raise OrderTooHigh("derivative order exceeds the diagnostic cap")
-    grid = g.grid
-    dg = apply_derivatives(g, alpha, beta, sigma)
-    vb = bracket(grid.v_squared())
-    xtb = bracket(grid.x_minus_tv_squared(g.time))
-    w = vb ** (1.0 - theta) * xtb ** (hp.M_max + 5 - _total(sigma))
-    pref = (1.0 + g.time) ** (-zeta - _total(beta))
+    w = vb ** (1.0 - theta) * xw
+    pref = (1.0 + t) ** (-zeta - beta)
     return float(pref * np.max(w * np.abs(dg)))
 
 
-def e_norm(g: DistributionField, orders, hp: HierarchyParams, k_max=K_DIAG_DEFAULT):
+def e_norm(dg, vb, xw, t, beta, delta, cell_volume):
     """Fixed-time weighted L2 piece and the instantaneous L2_t integrand.
 
     Returns ((1+T)^-|beta| ||<x-tv>^(M_max+5-|sigma|) D g||_L2, integrand) where
     integrand is the squared norm ||(1+t)^(-1/2-delta/2) <v> (same) D g||^2 to
-    be accumulated in t by ENormAccumulator.
+    be accumulated in t by ENormAccumulator.  Arguments as in z_norm.
     """
-    alpha, beta, sigma = orders
-    if _total(alpha) + _total(beta) + _total(sigma) > k_max:
-        raise OrderTooHigh("derivative order exceeds the diagnostic cap")
-    grid = g.grid
-    dg = apply_derivatives(g, alpha, beta, sigma)
-    xtb = bracket(grid.x_minus_tv_squared(g.time))
-    w = xtb ** (hp.M_max + 5 - _total(sigma))
-    vol = grid.cell_volume
-    fixed = (1.0 + g.time) ** (-_total(beta)) * math.sqrt(float(np.sum((w * dg) ** 2)) * vol)
-    vb = bracket(grid.v_squared())
-    integrand = (1.0 + g.time) ** (-1.0 - hp.delta) * float(np.sum((vb * w * dg) ** 2)) * vol
+    fixed = (1.0 + t) ** (-beta) * math.sqrt(float(np.sum((xw * dg) ** 2)) * cell_volume)
+    integrand = (1.0 + t) ** (-1.0 - delta) * float(np.sum((vb * xw * dg) ** 2)) * cell_volume
     return fixed, integrand
 
 
@@ -243,6 +228,64 @@ def null_structure_gain(plain_series, weighted_series, window=None):
     sp, _ = fit_decay_rate(plain_series, window)
     sw, _ = fit_decay_rate(weighted_series, window)
     return sp - sw
+
+
+def make_record(f: DistributionField, p, d0, sharp0: DistributionField, acc, clipped_mass):
+    """The DiagnosticRecord of f.
+
+    p is the kernel, d0 the Gaussian weight's constant, sharp0 the f-sharp the
+    record is compared with, and acc the ENormAccumulator of the run, which
+    this record adds its E-norm integrand to.  <v> and <x - t v> are built once
+    and each derivative is taken once.  A zero field has zero coefficients, so
+    its sups and null term are 0.
+    """
+    grid = f.grid
+    hp = hierarchy_params(p.gamma)
+    rho, m, e = velocity_moments(f.values, grid)
+    xvol = grid.dx ** grid.d_x
+    diff0 = sharp_cauchy_diff(pullback_sharp(f), sharp0)
+    # In this order the weights do not coexist with the operator's temporaries,
+    # and the coefficient fields are gone before the norms run.
+    coeffs = compute_coefficients(f, p)
+    diffusion = apply_collision_nonconservative(f.values, coeffs, grid) + coeffs.c_bar * f.values
+    vb = bracket(grid.v_squared())
+    null_term = float(np.max(np.abs(diffusion) / vb ** (2.0 + p.gamma)))
+    del diffusion
+    xtb = bracket(grid.x_minus_tv_squared(f.time))
+    sups = coefficient_sup_norms(coeffs, p.gamma, vb, xtb)
+    del coeffs
+
+    g = to_g(f, WeightSpec.from_gamma(p.gamma, gaussian=True, d0=d0))
+    z_norms = {}
+    e_norms = {}
+    for key, alpha, beta, sigma in RECORD_ORDERS:
+        k = sum(alpha) + sum(beta) + sum(sigma)
+        dg = apply_derivatives(g, alpha, beta, sigma)
+        xw = xtb ** (hp.M_max + 5 - sum(sigma))
+        z_norms[key] = z_norm(dg, vb, xw, f.time, sum(beta), hp.zeta[k], hp.theta[k])
+        e_norms[key], integrand = e_norm(dg, vb, xw, f.time, sum(beta), hp.delta,
+                                         grid.cell_volume)
+        if key == "abs":
+            acc.add(f.time, integrand)
+            e_norms["abs_Lt2"] = acc.value
+    return DiagnosticRecord(
+        t=f.time,
+        mass=float(np.sum(rho)) * xvol,
+        momentum=list(m.reshape(-1, grid.d_v).sum(axis=0) * xvol),
+        energy=float(np.sum(e)) * xvol,
+        rho_sup=float(np.max(np.abs(rho))),
+        m_sup=float(np.max(np.abs(m))),
+        e_sup=float(np.max(np.abs(e))),
+        E_norms=e_norms,
+        Z_norms=z_norms,
+        a_bar_plain_sup=sups["plain"],
+        a_bar_weighted_sup=sups["weighted_down"],
+        c_bar_sup=sups["c_sup"],
+        null_term_sup=null_term,
+        sharp_diff_vs_t0=diff0,
+        h_value=h_functional(f),
+        clipped_mass=clipped_mass,
+    )
 
 
 def sharp_cauchy_diff(f_sharp_1: DistributionField, f_sharp_2: DistributionField,

@@ -17,10 +17,6 @@ class GammaOutOfRange(LandauError):
     """Kernel exponent outside the moderately soft range (-2, 0)."""
 
 
-class OrderTooHigh(LandauError):
-    """Requested derivative order exceeds the configured diagnostic cap."""
-
-
 class InsufficientPoints(LandauError):
     """Too few samples inside the fit window."""
 

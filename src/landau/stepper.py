@@ -12,16 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import compute_coefficients, coefficient_sup_norms
-from .collision import (apply_collision_divergence, apply_collision_nonconservative,
-                        h_functional)
+from .coefficients import compute_coefficients
+from .collision import apply_collision_divergence
 from .config import SimulationConfig, initial_data, validate_config
-from .diagnostics import (DiagnosticRecord, ENormAccumulator, e_norm,
-                          hierarchy_params, sharp_cauchy_diff, velocity_moments,
-                          z_norm)
+from .diagnostics import ENormAccumulator, make_record
 from .errors import CflViolation, ClipBudgetExceeded, NanDetected
 from .kernel import KernelParams
-from .phase_state import DistributionField, WeightSpec, bracket, to_g
+from .phase_state import DistributionField
 from .transport import pullback_sharp, transport_shift
 
 CLIP_BUDGET = 1e-8
@@ -132,61 +129,6 @@ class RunArtifacts:
         return [(r.t, getattr(r, key)) for r in self.records]
 
 
-def _make_record(f, p, cfg, hp, spec, sharp0, state, acc):
-    grid = f.grid
-    rho, m, e = velocity_moments(f.values, grid)
-    xvol = grid.dx ** grid.d_x
-    diff0 = sharp_cauchy_diff(pullback_sharp(f), sharp0, *cfg.weight_powers)
-    if float(np.max(f.values)) > 0.0:
-        coeffs = compute_coefficients(f, p)
-        sups = coefficient_sup_norms(coeffs, cfg.gamma)
-        vb = bracket(grid.v_squared())
-        diffusion = apply_collision_nonconservative(
-            f.values, coeffs, grid) + coeffs.c_bar * f.values
-        null_term = float(np.max(np.abs(diffusion) / vb ** (2.0 + cfg.gamma)))
-    else:
-        sups = {"plain": 0.0, "weighted_down": 0.0, "c_sup": 0.0}
-        null_term = 0.0
-    g = to_g(f, spec)
-    z_norms = {}
-    e_norms = {}
-    orders = [((), (), ())]
-    if cfg.K_diag >= 1 and grid.d_v >= 1:
-        orders.append(((), (1,), ()))
-        orders.append(((), (), (1,)))
-    for od in orders:
-        key = "a" + "".join(map(str, od[0])) + "b" + "".join(map(str, od[1])) \
-            + "s" + "".join(map(str, od[2]))
-        k = sum(map(sum, od))
-        idx = min(hp.M_max - 4, k)
-        z_norms[key] = z_norm(g, od, hp, hp.zeta[idx], hp.theta[idx], cfg.K_diag)
-        fixed, integrand = e_norm(g, od, hp, cfg.K_diag)
-        if od == ((), (), ()):
-            acc.add(f.time, integrand)
-            e_norms[key] = fixed
-            e_norms[key + "_Lt2"] = acc.value
-        else:
-            e_norms[key] = fixed
-    return DiagnosticRecord(
-        t=f.time,
-        mass=float(np.sum(rho)) * xvol,
-        momentum=list(m.reshape(-1, grid.d_v).sum(axis=0) * xvol),
-        energy=float(np.sum(e)) * xvol,
-        rho_sup=float(np.max(np.abs(rho))),
-        m_sup=float(np.max(np.abs(m))),
-        e_sup=float(np.max(np.abs(e))),
-        E_norms=e_norms,
-        Z_norms=z_norms,
-        a_bar_plain_sup=sups["plain"],
-        a_bar_weighted_sup=sups["weighted_down"],
-        c_bar_sup=sups["c_sup"],
-        null_term_sup=null_term,
-        sharp_diff_vs_t0=diff0,
-        h_value=h_functional(f),
-        clipped_mass=state.clipped_mass,
-    )
-
-
 def run(cfg: SimulationConfig, data: DistributionField = None, transport_only=False,
         checkpoint_cb=None):
     """Advance from data.time to t_final, emitting one DiagnosticRecord per output time.
@@ -199,15 +141,13 @@ def run(cfg: SimulationConfig, data: DistributionField = None, transport_only=Fa
         data = initial_data(cfg)
     validate_config(cfg, data)
     p = cfg.kernel_params()
-    hp = hierarchy_params(cfg.gamma)
-    spec = WeightSpec.from_gamma(cfg.gamma, gaussian=True, d0=cfg.d0)
     state = RunState()
     acc = ENormAccumulator()
 
     f = data.copy()
     initial_mass = f.mass()
     sharp0 = pullback_sharp(f)
-    records = [_make_record(f, p, cfg, hp, spec, sharp0, state, acc)]
+    records = [make_record(f, p, cfg.d0, sharp0, acc, state.clipped_mass)]
     if checkpoint_cb is not None:
         checkpoint_cb(f)
 
@@ -216,7 +156,7 @@ def run(cfg: SimulationConfig, data: DistributionField = None, transport_only=Fa
             raise ClipBudgetExceeded(
                 f"clipped {state.clipped_mass:.3g} of initial mass {initial_mass:.3g}")
         if at_output:
-            records.append(_make_record(f, p, cfg, hp, spec, sharp0, state, acc))
+            records.append(make_record(f, p, cfg.d0, sharp0, acc, state.clipped_mass))
             if checkpoint_cb is not None:
                 checkpoint_cb(f)
     return RunArtifacts(records, f, state.clipped_mass)

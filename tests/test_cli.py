@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from landau.cli import (load_checkpoint, main, read_ndjson, record_to_json,
                         save_checkpoint, write_ndjson)
-from landau.config import parse_config
+from landau.config import initial_data, parse_config
 from landau.diagnostics import DiagnosticRecord
 from landau.errors import CheckpointInvalid, LandauError
 from landau.phase_state import DistributionField, Grid
@@ -184,6 +184,24 @@ def test_resume_writes_the_uninterrupted_checkpoints(tmp_path):
     assert [load_checkpoint(str(whole / n))[0].time for n in names] == [0.0, 1.0, 2.0]
     assert sorted(p.name for p in split.glob("checkpoint_*")) == names
     assert all((whole / n).read_bytes() == (split / n).read_bytes() for n in names)
+
+
+@pytest.mark.parametrize("gamma,n_v", [(-1.5, 24), (-1.5, 16), (-1.0, 24)])
+def test_resume_rejects_a_checkpoint_of_another_config(tmp_path, capsys, gamma, n_v):
+    cfg = _write_cfg(tmp_path)
+    f = initial_data(parse_config(cfg))
+    stored = str(tmp_path / "final.lndk")
+    save_checkpoint(stored, DistributionField(2.0, f.values, f.grid), -1.0)
+    raw = json.loads(open(cfg).read())
+    raw["gamma"] = gamma
+    raw["grid"]["n_v"] = n_v
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(raw))
+    out = tmp_path / "resumed"
+    assert main(["run", "--config", str(other), "--output", str(out),
+                 "--resume", stored, "--quiet"]) == 1
+    assert "ConfigInvalid: resume" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_maxfit_on_checkpoint(tmp_path, capsys):

@@ -7,7 +7,7 @@ from landau.coefficients import (compute_coefficients, coefficient_sup_norms,
                                  kernel_tables)
 from landau.errors import NegativeInput
 from landau.kernel import KernelParams
-from landau.phase_state import DistributionField, Grid
+from landau.phase_state import DistributionField, Grid, bracket
 
 
 def _gaussian_field(grid, widths=None, amp=1.0):
@@ -151,7 +151,8 @@ def test_sup_norms_positive_and_ordered():
     f = _gaussian_field(g)
     vals = f.values * np.exp(-x ** 2)
     out = compute_coefficients(DistributionField(0.0, vals, g), p)
-    sups = coefficient_sup_norms(out, p.gamma)
+    sups = coefficient_sup_norms(out, p.gamma, bracket(g.v_squared()),
+                                 bracket(g.x_minus_tv_squared(0.0)))
     assert sups["plain"] > 0.0
     assert sups["weighted_down"] > 0.0
     assert sups["c_sup"] > 0.0
