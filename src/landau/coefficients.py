@@ -86,13 +86,14 @@ def kernel_tables(grid: Grid, p: KernelParams):
 
 @dataclass
 class CoefficientFields:
-    """Per-cell convolution coefficients with their evaluation time."""
+    """Per-cell convolution coefficients, one array of the field's shape per component.
 
-    time: float
-    grid: Grid
-    a_bar: np.ndarray  # shape + (d, d)
-    b_bar: np.ndarray  # shape + (d,)
-    c_bar: np.ndarray  # shape, or None when not computed
+    a_bar[i][j] is the same array as a_bar[j][i]; b_bar[i] is component i.
+    """
+
+    a_bar: tuple  # d x d nested tuple of arrays
+    b_bar: tuple  # d-tuple of arrays
+    c_bar: np.ndarray  # or None when not computed
 
 
 def _validate_nonnegative(values):
@@ -153,16 +154,15 @@ def compute_coefficients(f: DistributionField, p: KernelParams, method="fft", wi
         raise ValueError(f"unknown method {method!r}")
 
     full = vals.shape
-    a_bar = np.empty(full + (d, d))
-    for i, j in _sym_pairs(d):
-        comp = out[f"a{i}{j}"].reshape(full)
-        a_bar[..., i, j] = comp
-        a_bar[..., j, i] = comp
-    b_bar = np.empty(full + (d,))
-    for i in range(d):
-        b_bar[..., i] = out[f"b{i}"].reshape(full)
-    c_bar = out["c"].reshape(full) if with_c else None
-    return CoefficientFields(f.time, grid, a_bar, b_bar, c_bar)
+    comp = {name: arr.reshape(full) for name, arr in out.items()}
+    a_bar = tuple(tuple(comp[f"a{min(i, j)}{max(i, j)}"] for j in range(d)) for i in range(d))
+    b_bar = tuple(comp[f"b{i}"] for i in range(d))
+    return CoefficientFields(a_bar, b_bar, comp["c"] if with_c else None)
+
+
+def distinct_a_bar(coeffs: CoefficientFields):
+    """The distinct components a_bar[i][j], i <= j."""
+    return [coeffs.a_bar[i][j] for i, j in _sym_pairs(len(coeffs.a_bar))]
 
 
 def coefficient_sup_norms(coeffs: CoefficientFields, gamma, vb, xtb):
@@ -172,7 +172,7 @@ def coefficient_sup_norms(coeffs: CoefficientFields, gamma, vb, xtb):
     weighted_down:  sup <x-tv>^-min{1,2+gamma} <v>^-max{0,1+gamma} max_ij |a_bar|
     c_sup:          sup |c_bar|
 
-    vb = <v> and xtb = <x-tv> at coeffs.time, both over the grid's shape.
+    vb = <v> and xtb = <x-tv> at the field's time, both over the grid's shape.
 
     <x-tv> pairs only the first d_x velocity axes with x.  The null structure
     a(z) z = 0 makes weighted_down decay faster than plain by the predicted
@@ -180,9 +180,10 @@ def coefficient_sup_norms(coeffs: CoefficientFields, gamma, vb, xtb):
     a_bar does not vanish on the ray x = t v and the gain is 0.
     """
     # max_ij |a_bar| over the upper triangle, one component at a time
-    amax = np.abs(coeffs.a_bar[..., 0, 0])
-    for i, j in _sym_pairs(coeffs.a_bar.shape[-1])[1:]:
-        np.maximum(amax, np.abs(coeffs.a_bar[..., i, j]), out=amax)
+    first, *rest = distinct_a_bar(coeffs)
+    amax = np.abs(first)
+    for comp in rest:
+        np.maximum(amax, np.abs(comp), out=amax)
     plain = float(np.max(amax / vb ** (2.0 + gamma)))
     wdown = amax / xtb ** min(1.0, 2.0 + gamma) / vb ** max(0.0, 1.0 + gamma)
     weighted = float(np.max(wdown))

@@ -46,14 +46,14 @@ def apply_collision_divergence(f_slice, coeffs: CoefficientFields, grid: Grid):
         # Interior face flux G_a between consecutive cells along axis a.
         g_face = np.zeros_like(f[lo])
         for j in range(d):
-            a_aj = a_bar[..., a, j]
+            a_aj = a_bar[a][j]
             a_face = 0.5 * (a_aj[lo] + a_aj[hi])
             if j == a:
                 df = (f[hi] - f[lo]) / dv
             else:
                 df = 0.5 * (grads[j][lo] + grads[j][hi])
             g_face += a_face * df
-        b_a = b_bar[..., a]
+        b_a = b_bar[a]
         g_face -= 0.5 * (b_a[lo] + b_a[hi]) * 0.5 * (f[lo] + f[hi])
 
         # Divergence with zero-flux boundary faces.
@@ -86,10 +86,10 @@ def apply_collision_nonconservative(f_slice, coeffs: CoefficientFields, grid: Gr
     q = -coeffs.c_bar * f
     grads = [_centered_gradient(f, dv, _vaxis(grid, j, nd)) for j in range(d)]
     for i in range(d):
-        q += coeffs.a_bar[..., i, i] * _second_difference(f, dv, _vaxis(grid, i, nd))
+        q += coeffs.a_bar[i][i] * _second_difference(f, dv, _vaxis(grid, i, nd))
         for j in range(i + 1, d):
             cross = _centered_gradient(grads[j], dv, _vaxis(grid, i, nd))
-            q += 2.0 * coeffs.a_bar[..., i, j] * cross
+            q += 2.0 * coeffs.a_bar[i][j] * cross
     return q
 
 

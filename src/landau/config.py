@@ -93,39 +93,48 @@ def config_from_dict(raw):
     return cfg
 
 
+def _padded_vector(params, key, default, d):
+    """params[key] as a length-d vector, zero-padded past its given entries."""
+    vec = np.zeros(d)
+    given = params.get(key, default)
+    vec[: len(given)] = given
+    return vec
+
+
+def _x_gaussian(grid, center, width):
+    """prod_a exp(-((x_a - center) / width)^2) over the spatial axes."""
+    vals = np.ones(grid.shape)
+    for xm in grid.x_mesh():
+        vals = vals * np.exp(-((xm - center) / width) ** 2)
+    return vals
+
+
+def _v_exponent(grid, u, width):
+    """sum_a ((v_a - u_a) / width)^2 over the velocity axes."""
+    tot = np.zeros(grid.shape)
+    for a, vm in enumerate(grid.v_mesh()):
+        tot = tot + ((vm - u[a]) / width) ** 2
+    return tot
+
+
 def initial_data(cfg: SimulationConfig):
     """Build the initial DistributionField for a config."""
     grid = cfg.grid()
     params = dict(cfg.initial_parameters)
-    if cfg.initial_kind == "gaussian":
+    if cfg.initial_kind in ("gaussian", "seed"):
         x_width = float(params.get("x_width", 1.0))
         v_width = float(params.get("v_width", 1.0))
-        drift = np.zeros(grid.d_v)
-        drift[: len(params.get("drift", []))] = params.get("drift", [])
-        x_center = float(params.get("x_center", 0.0))
-        vals = np.ones(grid.shape)
-        for a, xm in enumerate(grid.x_mesh()):
-            vals = vals * np.exp(-((xm - x_center) / x_width) ** 2)
-        vsq = np.zeros(grid.shape)
-        for a, vm in enumerate(grid.v_mesh()):
-            vsq = vsq + ((vm - drift[a]) / v_width) ** 2
-        vals = vals * np.exp(-vsq)
-    elif cfg.initial_kind == "seed":
-        # Two separated velocity bumps: deliberately far from any single
-        # traveling Maxwellian, the generic non-Maxwellian seed.
-        x_width = float(params.get("x_width", 1.0))
-        v_width = float(params.get("v_width", 1.0))
-        u = np.zeros(grid.d_v)
-        u[: len(params.get("bump_velocity", [2.0]))] = params.get("bump_velocity", [2.0])
-        vals = np.ones(grid.shape)
-        for xm in grid.x_mesh():
-            vals = vals * np.exp(-(xm / x_width) ** 2)
-        plus = np.zeros(grid.shape)
-        minus = np.zeros(grid.shape)
-        for a, vm in enumerate(grid.v_mesh()):
-            plus = plus + ((vm - u[a]) / v_width) ** 2
-            minus = minus + ((vm + u[a]) / v_width) ** 2
-        vals = vals * (np.exp(-plus) + np.exp(-minus))
+        if cfg.initial_kind == "gaussian":
+            drift = _padded_vector(params, "drift", [], grid.d_v)
+            vals = _x_gaussian(grid, float(params.get("x_center", 0.0)), x_width)
+            vals = vals * np.exp(-_v_exponent(grid, drift, v_width))
+        else:
+            # Two separated velocity bumps: deliberately far from any single
+            # traveling Maxwellian, the generic non-Maxwellian seed.
+            u = _padded_vector(params, "bump_velocity", [2.0], grid.d_v)
+            vals = _x_gaussian(grid, 0.0, x_width)
+            vals = vals * (np.exp(-_v_exponent(grid, u, v_width))
+                           + np.exp(-_v_exponent(grid, -u, v_width)))
     elif cfg.initial_kind == "maxwellian":
         d = grid.d_v
         b = np.array(params.get("B", np.zeros((d, d))), dtype=float)

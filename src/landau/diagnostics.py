@@ -141,16 +141,12 @@ def z_norm(dg, vb, xw, t, beta, zeta, theta):
     return float(pref * np.max(w * np.abs(dg)))
 
 
-def e_norm(dg, vb, xw, t, beta, delta, cell_volume):
-    """Fixed-time weighted L2 piece and the instantaneous L2_t integrand.
+def e_norm(dg, xw, t, beta, cell_volume):
+    """Fixed-time weighted L2 piece (1+T)^-|beta| ||<x-tv>^(M_max+5-|sigma|) D g||_L2.
 
-    Returns ((1+T)^-|beta| ||<x-tv>^(M_max+5-|sigma|) D g||_L2, integrand) where
-    integrand is the squared norm ||(1+t)^(-1/2-delta/2) <v> (same) D g||^2 to
-    be accumulated in t by ENormAccumulator.  Arguments as in z_norm.
+    Arguments as in z_norm.
     """
-    fixed = (1.0 + t) ** (-beta) * math.sqrt(float(np.sum((xw * dg) ** 2)) * cell_volume)
-    integrand = (1.0 + t) ** (-1.0 - delta) * float(np.sum((vb * xw * dg) ** 2)) * cell_volume
-    return fixed, integrand
+    return (1.0 + t) ** (-beta) * math.sqrt(float(np.sum((xw * dg) ** 2)) * cell_volume)
 
 
 class ENormAccumulator:
@@ -255,7 +251,7 @@ def make_record(f: DistributionField, p, d0, sharp0: DistributionField, acc, cli
     sups = coefficient_sup_norms(coeffs, p.gamma, vb, xtb)
     del coeffs
 
-    g = to_g(f, WeightSpec.from_gamma(p.gamma, gaussian=True, d0=d0))
+    g = to_g(f, WeightSpec.from_gamma(p.gamma, d0))
     z_norms = {}
     e_norms = {}
     for key, alpha, beta, sigma in RECORD_ORDERS:
@@ -263,10 +259,11 @@ def make_record(f: DistributionField, p, d0, sharp0: DistributionField, acc, cli
         dg = apply_derivatives(g, alpha, beta, sigma)
         xw = xtb ** (hp.M_max + 5 - sum(sigma))
         z_norms[key] = z_norm(dg, vb, xw, f.time, sum(beta), hp.zeta[k], hp.theta[k])
-        e_norms[key], integrand = e_norm(dg, vb, xw, f.time, sum(beta), hp.delta,
-                                         grid.cell_volume)
+        e_norms[key] = e_norm(dg, xw, f.time, sum(beta), grid.cell_volume)
         if key == "abs":
-            acc.add(f.time, integrand)
+            # the L2_t integrand ||(1+t)^(-1/2-delta/2) <v> <x-tv>^(M_max+5) g||^2
+            acc.add(f.time, (1.0 + f.time) ** (-1.0 - hp.delta)
+                    * float(np.sum((vb * xw * dg) ** 2)) * grid.cell_volume)
             e_norms["abs_Lt2"] = acc.value
     return DiagnosticRecord(
         t=f.time,
@@ -288,13 +285,12 @@ def make_record(f: DistributionField, p, d0, sharp0: DistributionField, acc, cli
     )
 
 
-def sharp_cauchy_diff(f_sharp_1: DistributionField, f_sharp_2: DistributionField,
-                      v_power=2, x_power=2.0):
-    """sup <v>^l <x>^m |f_sharp(T1) - f_sharp(T2)| on a common grid."""
+def sharp_cauchy_diff(f_sharp_1: DistributionField, f_sharp_2: DistributionField):
+    """sup <v>^2 <x>^2 |f_sharp(T1) - f_sharp(T2)| on a common grid."""
     if f_sharp_1.grid != f_sharp_2.grid:
         raise GridMismatch("sharp fields live on different grids")
     grid = f_sharp_1.grid
     vb = bracket(grid.v_squared())
     xb = bracket(grid.x_minus_tv_squared(0.0))  # plain <x> at t = 0
-    w = vb ** v_power * xb ** x_power
+    w = vb ** 2 * xb ** 2.0
     return float(np.max(w * np.abs(f_sharp_1.values - f_sharp_2.values)))

@@ -131,11 +131,8 @@ class DistributionField:
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Weight <v>^l <x-tv>^m, optionally times the Gaussian e^{d(t)<v>^2}."""
+    """The Gaussian weight e^{d(t)<v>^2}, d(t) = d0 (1 + (1+t)^-delta)."""
 
-    v_power: int = 0
-    xtv_power: float = 0.0
-    gaussian: bool = False
     d0: float = 1.0
     delta: float = 0.1
 
@@ -145,8 +142,8 @@ class WeightSpec:
         return min((2.0 + gamma) / 4.0, 0.1)
 
     @classmethod
-    def from_gamma(cls, gamma, v_power=0, xtv_power=0.0, gaussian=False, d0=1.0):
-        return cls(v_power, xtv_power, gaussian, d0, cls.delta_from_gamma(gamma))
+    def from_gamma(cls, gamma, d0):
+        return cls(d0, cls.delta_from_gamma(gamma))
 
 
 def gaussian_exponent(t, spec: WeightSpec):
@@ -159,26 +156,6 @@ def gaussian_exponent(t, spec: WeightSpec):
 def bracket(u_squared):
     """Japanese bracket <u> = (1 + |u|^2)^(1/2) from |u|^2."""
     return np.sqrt(1.0 + u_squared)
-
-
-def weight_value(t, x, v, spec: WeightSpec, grid: Grid = None):
-    """Pointwise weight <v>^l <x-tv>^m (e^{d(t)<v>^2}).
-
-    x and v are coordinate vectors (x of length d_x, v of length d_v); only the
-    velocity components paired with a spatial axis enter x - t v.  If a grid is
-    given, x - t v is wrapped to its minimal image.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    vb = bracket(float(np.dot(v, v)))
-    u = x - t * v[: x.size]
-    if grid is not None:
-        u = grid.wrap_x(u)
-    xb = bracket(float(np.dot(u, u)))
-    w = vb ** spec.v_power * xb ** spec.xtv_power
-    if spec.gaussian:
-        w *= np.exp(gaussian_exponent(t, spec) * vb ** 2)
-    return float(w)
 
 
 def gaussian_weight_field(f: DistributionField, spec: WeightSpec):
@@ -194,8 +171,3 @@ def gaussian_weight_field(f: DistributionField, spec: WeightSpec):
 def to_g(f: DistributionField, spec: WeightSpec):
     """Gaussian-in-velocity reweighted view g = e^{d(t)<v>^2} f."""
     return DistributionField(f.time, f.values * gaussian_weight_field(f, spec), f.grid)
-
-
-def from_g(g: DistributionField, spec: WeightSpec):
-    """Inverse of to_g."""
-    return DistributionField(g.time, g.values / gaussian_weight_field(g, spec), g.grid)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import compute_coefficients
+from .coefficients import compute_coefficients, distinct_a_bar
 from .collision import apply_collision_divergence
 from .config import SimulationConfig, initial_data, validate_config
 from .diagnostics import ENormAccumulator, make_record
@@ -47,7 +47,7 @@ def _clip(values, state: RunState, cell_volume):
 
 
 def _collision_dt(coeffs, grid, cfl_safety):
-    amax = float(np.max(np.abs(coeffs.a_bar)))
+    amax = float(np.max([np.max(np.abs(comp)) for comp in distinct_a_bar(coeffs)]))
     cmax = float(np.max(np.abs(coeffs.c_bar)))
     dt = math.inf
     if amax > 0.0:

@@ -339,8 +339,8 @@ def _a_bar_max(slices, p):
     for s in range(0, len(slices), 32):
         block = slices[s:s + 32]
         grid = Grid(1, 2, len(block), GAIN_V_GRID.n_v, 1.0, GAIN_V_GRID.v_max)
-        a_bar = compute_coefficients(DistributionField(0.0, block, grid), p).a_bar
-        out.append(np.max(np.abs(a_bar), axis=(-2, -1)))
+        a_bar = np.array(compute_coefficients(DistributionField(0.0, block, grid), p).a_bar)
+        out.append(np.max(np.abs(a_bar), axis=(0, 1)))
     return np.concatenate(out)
 
 

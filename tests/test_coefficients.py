@@ -1,5 +1,7 @@
 """Convolution coefficients: FFT vs direct, structure, sup norms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,15 @@ def _gaussian_field(grid, widths=None, amp=1.0):
     return DistributionField(0.0, amp * np.exp(-expo), grid)
 
 
+def _component(coeffs, name):
+    """The output array of the kernel table called name (a01, b1, c, ...)."""
+    if name == "c":
+        return coeffs.c_bar
+    if name[0] == "b":
+        return coeffs.b_bar[int(name[1])]
+    return coeffs.a_bar[int(name[1])][int(name[2])]
+
+
 def test_fft_matches_direct():
     g = Grid(0, 2, 1, 12, 1.0, 3.0)
     p = KernelParams(-1.0, 2)
@@ -27,8 +38,8 @@ def test_fft_matches_direct():
     fast = compute_coefficients(f, p, method="fft")
     slow = compute_coefficients(f, p, method="direct")
     for name in ("a_bar", "b_bar", "c_bar"):
-        a = getattr(fast, name)
-        b = getattr(slow, name)
+        a = np.array(getattr(fast, name))
+        b = np.array(getattr(slow, name))
         assert np.max(np.abs(a - b)) <= 1e-12 * max(np.max(np.abs(b)), 1.0)
 
 
@@ -39,7 +50,7 @@ def test_fft_matches_direct_3d():
     f = DistributionField(0.0, rng.random(g.shape), g)
     fast = compute_coefficients(f, p, method="fft")
     slow = compute_coefficients(f, p, method="direct")
-    assert np.allclose(fast.a_bar, slow.a_bar, atol=1e-12)
+    assert np.allclose(np.array(fast.a_bar), np.array(slow.a_bar), atol=1e-12)
     assert np.allclose(fast.c_bar, slow.c_bar, atol=1e-12)
 
 
@@ -55,9 +66,11 @@ def test_fft_is_bitwise_the_padded_transform(grid):
     padded[(slice(None),) + (slice(0, n),) * d] = vals
     axes = tuple(range(1, d + 1))
     fhat = np.fft.rfftn(padded, axes=axes)
-    that = kernel_tables(grid, p)[1]["c"]
-    conv = np.fft.irfftn(fhat * that[None], s=(m,) * d, axes=axes)
-    assert np.array_equal(out.c_bar, conv[(slice(None),) + (slice(0, n),) * d] * grid.dv ** d)
+    fft_tables = kernel_tables(grid, p)[1]
+    for name, that in fft_tables.items():
+        conv = np.fft.irfftn(fhat * that[None], s=(m,) * d, axes=axes)
+        want = conv[(slice(None),) + (slice(0, n),) * d] * grid.dv ** d
+        assert np.array_equal(_component(out, name), want), name
 
 
 def test_with_c_false_skips_only_c_bar():
@@ -67,8 +80,27 @@ def test_with_c_false_skips_only_c_bar():
     full = compute_coefficients(f, p)
     part = compute_coefficients(f, p, with_c=False)
     assert part.c_bar is None
-    assert np.array_equal(part.a_bar, full.a_bar)
-    assert np.array_equal(part.b_bar, full.b_bar)
+    assert np.array_equal(np.array(part.a_bar), np.array(full.a_bar))
+    assert np.array_equal(np.array(part.b_bar), np.array(full.b_bar))
+
+
+def test_components_are_shared_contiguous_field_arrays():
+    # one array per distinct component, of the field's shape, with no tensor copy
+    g = Grid(2, 2, 24, 16, 10.0, 3.0)
+    p = KernelParams(-1.0, 2)
+    f = DistributionField(0.0, np.random.default_rng(9).random(g.shape), g)
+    kernel_tables(g, p)
+    tracemalloc.start()
+    try:
+        out = compute_coefficients(f, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.a_bar[0][1] is out.a_bar[1][0]
+    for comp in [*out.a_bar[0], *out.a_bar[1], *out.b_bar, out.c_bar]:
+        assert comp.shape == g.shape
+        assert comp.flags["C_CONTIGUOUS"]
+    assert peak <= 8 * f.values.nbytes
 
 
 def test_a_bar_positive_semidefinite_and_symmetric():
@@ -76,8 +108,9 @@ def test_a_bar_positive_semidefinite_and_symmetric():
     p = KernelParams(-1.0, 2)
     f = _gaussian_field(g)
     out = compute_coefficients(f, p)
-    assert np.allclose(out.a_bar, np.swapaxes(out.a_bar, -1, -2))
-    eigs = np.linalg.eigvalsh(out.a_bar.reshape(-1, 2, 2))
+    a_bar = np.moveaxis(np.array(out.a_bar), (0, 1), (-2, -1))
+    assert np.allclose(a_bar, np.swapaxes(a_bar, -1, -2))
+    eigs = np.linalg.eigvalsh(a_bar.reshape(-1, 2, 2))
     assert np.min(eigs) >= -1e-12 * np.max(eigs)
 
 
@@ -97,7 +130,7 @@ def test_coefficients_scale_linearly_in_f():
     f2 = _gaussian_field(g, amp=2.5)
     o1 = compute_coefficients(f1, p)
     o2 = compute_coefficients(f2, p)
-    assert np.allclose(o2.a_bar, 2.5 * o1.a_bar, rtol=1e-12)
+    assert np.allclose(np.array(o2.a_bar), 2.5 * np.array(o1.a_bar), rtol=1e-12)
     assert np.allclose(o2.c_bar, 2.5 * o1.c_bar, rtol=1e-12)
 
 
@@ -128,7 +161,7 @@ def test_point_mass_reproduces_kernel_table():
     for (i, k), name in (((0, 0), "a00"), ((0, 1), "a01"), ((1, 1), "a11")):
         tab = tables[name]
         block = tab[n - 1 - j[0]: 2 * n - 1 - j[0], n - 1 - j[1]: 2 * n - 1 - j[1]]
-        assert np.allclose(out.a_bar[..., i, k], block * scale, atol=1e-13)
+        assert np.allclose(out.a_bar[i][k], block * scale, atol=1e-13)
 
 
 def test_tables_symmetry():
@@ -157,6 +190,6 @@ def test_sup_norms_positive_and_ordered():
     assert sups["weighted_down"] > 0.0
     assert sups["c_sup"] > 0.0
     # both weights are >= 1, so neither sup can exceed the raw sup of a_bar
-    raw = float(np.max(np.abs(out.a_bar)))
+    raw = float(np.max(np.abs(np.array(out.a_bar))))
     assert sups["plain"] <= raw * (1.0 + 1e-12)
     assert sups["weighted_down"] <= raw * (1.0 + 1e-12)

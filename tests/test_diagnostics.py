@@ -118,7 +118,7 @@ def _expected_record(f, cfg):
     vb = bracket(grid.v_squared())
     xtb = bracket(grid.x_minus_tv_squared(t))
     coeffs = compute_coefficients(f, cfg.kernel_params())
-    amax = np.max(np.abs(coeffs.a_bar), axis=(-2, -1))
+    amax = np.max(np.abs(np.array(coeffs.a_bar)), axis=(0, 1))
     # a_bar_ij d_ij f: the nonconservative operator without its -c_bar f
     diffusion = apply_collision_nonconservative(f.values, coeffs, grid) + coeffs.c_bar * f.values
     out = {

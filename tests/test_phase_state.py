@@ -7,7 +7,7 @@ import pytest
 
 from landau.errors import GridMismatch, WeightOverflow
 from landau.phase_state import (DistributionField, Grid, WeightSpec, bracket,
-                                from_g, gaussian_exponent, to_g, weight_value)
+                                gaussian_exponent, to_g)
 
 
 def test_grid_axes_are_cell_centers():
@@ -69,7 +69,7 @@ def test_field_mass_constant_density():
 
 
 def test_gaussian_exponent_decreases_from_2d0_to_d0():
-    spec = WeightSpec(d0=0.5, delta=0.1, gaussian=True)
+    spec = WeightSpec(d0=0.5, delta=0.1)
     assert math.isclose(gaussian_exponent(0.0, spec), 1.0)
     assert gaussian_exponent(10.0, spec) < gaussian_exponent(1.0, spec)
     assert gaussian_exponent(1e9, spec) > 0.5
@@ -86,25 +86,9 @@ def test_bracket():
     assert bracket(3.0) == 2.0
 
 
-def test_weight_value_pointwise():
-    spec = WeightSpec(v_power=2, xtv_power=1.0)
-    w = weight_value(2.0, [1.0], [1.0, 0.0], spec)
-    # <v> = sqrt(2), <x - t v> = <1 - 2> = sqrt(2)
-    assert math.isclose(w, 2.0 * math.sqrt(2.0), rel_tol=1e-13)
-
-
-def test_to_g_from_g_round_trip():
-    g = Grid(0, 2, 1, 16, 1.0, 3.0)
-    rng = np.random.default_rng(0)
-    f = DistributionField(1.5, rng.random(g.shape), g)
-    spec = WeightSpec(gaussian=True, d0=0.3, delta=0.1)
-    back = from_g(to_g(f, spec), spec)
-    assert np.allclose(back.values, f.values, rtol=1e-13)
-
-
 def test_gaussian_weight_overflow_gate():
     g = Grid(0, 2, 1, 8, 1.0, 40.0)
     f = DistributionField(0.0, np.ones(g.shape), g)
-    spec = WeightSpec(gaussian=True, d0=1.0, delta=0.1)
+    spec = WeightSpec(d0=1.0, delta=0.1)
     with pytest.raises(WeightOverflow):
         to_g(f, spec)
