@@ -6,7 +6,8 @@ normal differences) and zero flux at the velocity-box boundary, which makes
 the discrete mass of Q vanish by telescoping.
 
 Nonconservative form (cross-validation): Q = a_bar_ij D2_ij f - c_bar f with
-centered second differences, the analytical form of the equation.
+centered second differences, the analytical form of the equation; its
+diffusion term a_bar_ij D2_ij f alone is the diagnostics' null term.
 """
 
 import numpy as np
@@ -77,13 +78,13 @@ def _second_difference(f, dv, axis):
     return out
 
 
-def apply_collision_nonconservative(f_slice, coeffs: CoefficientFields, grid: Grid):
-    """a_bar_ij D2_ij f - c_bar f with centered differences."""
+def apply_collision_diffusion(f_slice, coeffs: CoefficientFields, grid: Grid):
+    """a_bar_ij D2_ij f with centered differences."""
     f = np.asarray(f_slice, dtype=float)
     dv = grid.dv
     d = grid.d_v
     nd = f.ndim
-    q = -coeffs.c_bar * f
+    q = np.zeros_like(f)
     grads = [_centered_gradient(f, dv, _vaxis(grid, j, nd)) for j in range(d)]
     for i in range(d):
         q += coeffs.a_bar[i][i] * _second_difference(f, dv, _vaxis(grid, i, nd))
@@ -91,6 +92,12 @@ def apply_collision_nonconservative(f_slice, coeffs: CoefficientFields, grid: Gr
             cross = _centered_gradient(grads[j], dv, _vaxis(grid, i, nd))
             q += 2.0 * coeffs.a_bar[i][j] * cross
     return q
+
+
+def apply_collision_nonconservative(f_slice, coeffs: CoefficientFields, grid: Grid):
+    """a_bar_ij D2_ij f - c_bar f with centered differences."""
+    f = np.asarray(f_slice, dtype=float)
+    return apply_collision_diffusion(f, coeffs, grid) - coeffs.c_bar * f
 
 
 def h_functional(f: DistributionField):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import coefficient_sup_norms, compute_coefficients
-from .collision import apply_collision_nonconservative, h_functional
+from .collision import apply_collision_diffusion, h_functional
 from .errors import GammaOutOfRange, GridMismatch, InsufficientPoints, NonPositiveValue
 from .phase_state import DistributionField, WeightSpec, bracket, to_g
 from .transport import pullback_sharp
@@ -243,7 +243,7 @@ def make_record(f: DistributionField, p, d0, sharp0: DistributionField, acc, cli
     # In this order the weights do not coexist with the operator's temporaries,
     # and the coefficient fields are gone before the norms run.
     coeffs = compute_coefficients(f, p)
-    diffusion = apply_collision_nonconservative(f.values, coeffs, grid) + coeffs.c_bar * f.values
+    diffusion = apply_collision_diffusion(f.values, coeffs, grid)
     vb = bracket(grid.v_squared())
     null_term = float(np.max(np.abs(diffusion) / vb ** (2.0 + p.gamma)))
     del diffusion

@@ -8,18 +8,23 @@ subject to Q = (alpha sigma - beta^2) I + B^2 positive definite.  M-sharp
 On reduced spatial dimension (d_x < d_v) the coupling block keeps only the
 columns paired with a spatial axis and the prefactor uses the general Gaussian
 normalization, which reduces to m sqrt(det Q)/(2 pi)^d when d_x = d_v.
+
+log M-sharp = sum_k eta_k psi_k is linear in the natural coordinates eta =
+(log prefactor, sigma, alpha, beta, free B_ia) with fixed fields psi (1 and
+_features), so the fit is damped Gauss-Newton (Marquardt, SIAM J. Appl. Math.
+11, 1963) on normal equations that one model evaluation gives.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ConstraintViolated, ZeroMass
 from .phase_state import DistributionField, Grid
 
-FIT_MAX_EVALS = 4000  # Nelder-Mead evaluation cap of fit_maxwellian
+FIT_MAX_STEPS = 100  # trial steps (model evaluations) of fit_maxwellian before it gives up
+FIT_RTOL = 1e-12  # relative decrease of the residual, or relative step, that ends the fit
 
 
 @dataclass
@@ -48,11 +53,9 @@ class TravelingMaxwellianParams:
         d = self.B.shape[0]
         return (self.alpha * self.sigma - self.beta ** 2) * np.eye(d) + self.B @ self.B
 
-    def precision(self, d_x=None):
+    def precision(self, d_x):
         """Block precision matrix on (v, x) with d_x spatial axes."""
         d = self.B.shape[0]
-        if d_x is None:
-            d_x = d
         pair = np.eye(d)[:, :d_x]
         coupling = (self.beta * np.eye(d) + self.B) @ pair
         s = np.zeros((d + d_x, d + d_x))
@@ -62,10 +65,8 @@ class TravelingMaxwellianParams:
         s[d:, d:] = self.alpha * np.eye(d_x)
         return s
 
-    def prefactor(self, d_x=None):
+    def prefactor(self, d_x):
         d = self.B.shape[0]
-        if d_x is None:
-            d_x = d
         s = self.precision(d_x)
         det = float(np.linalg.det(s))
         if det <= 0.0:
@@ -73,40 +74,48 @@ class TravelingMaxwellianParams:
         return self.m * math.sqrt(det) / (2.0 * math.pi) ** (0.5 * (d + d_x))
 
 
-def eval_maxwellian(p: TravelingMaxwellianParams, t, x, v, grid: Grid = None):
+def eval_maxwellian(p: TravelingMaxwellianParams, t, x, v):
     """M(t, x, v); positive wherever the constraints hold."""
     p.validate()
     v = np.atleast_1d(np.asarray(v, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d_x = x.size
-    u_x = x - t * v[:d_x]
-    if grid is not None:
-        u_x = grid.wrap_x(u_x)
-    u = np.concatenate([v, u_x])
+    u = np.concatenate([v, x - t * v[:d_x]])
     s = p.precision(d_x)
     return p.prefactor(d_x) * math.exp(-0.5 * float(u @ s @ u))
 
 
-def maxwellian_sharp(p: TravelingMaxwellianParams, x, v, grid: Grid = None):
+def maxwellian_sharp(p: TravelingMaxwellianParams, x, v):
     """M-sharp(x, v) = M(0, x, v); equals M(t, x + t v, v) for every t."""
-    return eval_maxwellian(p, 0.0, x, v, grid=grid)
+    return eval_maxwellian(p, 0.0, x, v)
+
+
+def _free_entries(d, d_x):
+    """Index pairs (i, a) of the free entries B_ia, a < min(i, d_x); B_ai = -B_ia."""
+    return [(i, a) for i in range(d) for a in range(min(i, d_x))]
+
+
+def _features(grid: Grid):
+    """-|v|^2/2, -|x|^2/2, -sum_a v_a x_a and, per free B_ia, -(v_i x_a - [i < d_x] v_a x_i):
+    the fields that multiply sigma, alpha, beta and B_ia in log M-sharp."""
+    vs, xs = grid.v_mesh(), grid.x_mesh()
+    feats = [-0.5 * sum(v * v for v in vs), -0.5 * sum(x * x for x in xs),
+             -sum(v * x for v, x in zip(vs, xs))]
+    for i, a in _free_entries(grid.d_v, grid.d_x):
+        feats.append(-(vs[i] * xs[a] - (vs[a] * xs[i] if i < grid.d_x else 0.0)))
+    return feats
+
+
+def _coords(p: TravelingMaxwellianParams, d_x):
+    """The coefficients of _features in log M-sharp."""
+    return [p.sigma, p.alpha, p.beta] + [p.B[i, a] for i, a in _free_entries(p.B.shape[0], d_x)]
 
 
 def maxwellian_sharp_field(p: TravelingMaxwellianParams, grid: Grid):
     """M-sharp sampled on a phase-space grid as a DistributionField at t = 0."""
     p.validate()
-    d = grid.d_v
-    d_x = grid.d_x
-    s = p.precision(d_x)
-    vs = grid.v_mesh()
-    xs = grid.x_mesh()
-    coords = vs + xs  # u = (v, x)
-    expo = np.zeros(grid.shape)
-    for i in range(d + d_x):
-        for j in range(d + d_x):
-            if s[i, j] != 0.0:
-                expo = expo + s[i, j] * coords[i] * coords[j]
-    return DistributionField(0.0, p.prefactor(d_x) * np.exp(-0.5 * expo), grid)
+    expo = sum(c * psi for c, psi in zip(_coords(p, grid.d_x), _features(grid)))
+    return DistributionField(0.0, p.prefactor(grid.d_x) * np.exp(expo), grid)
 
 
 @dataclass
@@ -116,28 +125,15 @@ class MaxwellianFit:
     converged: bool
 
 
-def _fit_residual(values, model, weight, vol):
-    return math.sqrt(float(np.sum((weight * (values - model)) ** 2)) * vol)
-
-
-def _weighted_l2(field: DistributionField):
+def _second_moments(field: DistributionField, mass):
+    """Raw second-moment matrix of u = (v, x) under the field."""
     grid = field.grid
-    w = (1.0 + grid.v_squared()) * (1.0 + grid.x_minus_tv_squared(0.0))
-    return w  # <v>^2 <x>^2
-
-
-def _second_moments(field: DistributionField):
-    """Mass and raw second-moment matrix of u = (v, x) under the field."""
-    grid = field.grid
-    vol = grid.cell_volume
-    mass = float(np.sum(field.values)) * vol
     coords = grid.v_mesh() + grid.x_mesh()
-    n = grid.d_v + grid.d_x
-    cov = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            cov[i, j] = cov[j, i] = float(np.sum(field.values * coords[i] * coords[j])) * vol / mass
-    return mass, cov
+    cov = np.empty((len(coords), len(coords)))
+    for i in range(len(coords)):
+        for j in range(i, len(coords)):
+            cov[i, j] = cov[j, i] = float(np.sum(field.values * coords[i] * coords[j]))
+    return cov * grid.cell_volume / mass
 
 
 def _project_params(mass, cov, d, d_x):
@@ -148,78 +144,81 @@ def _project_params(mass, cov, d, d_x):
     c = s[:d, d:]
     beta = float(np.trace(c[:d_x, :d_x])) / max(d_x, 1)
     b = np.zeros((d, d))
-    for i in range(d):
-        for a in range(d_x):
-            val = c[i, a] - (beta if i == a else 0.0)
-            b[i, a] += val
-            b[a, i] -= val
-    if d_x == d:
-        b *= 0.5  # each entry set twice by the symmetric sweep above
+    for i, a in _free_entries(d, d_x):
+        # the antisymmetric part where both axes are spatial, else C_ia itself
+        b[i, a] = 0.5 * (c[i, a] - c[a, i]) if i < d_x else c[i, a]
+        b[a, i] = -b[i, a]
     return TravelingMaxwellianParams(mass, alpha, sigma, beta, b)
 
 
-def _params_vector(p, d_x):
-    vec = [math.log(max(p.m, 1e-300)), math.log(p.alpha), math.log(p.sigma), p.beta]
-    d = p.B.shape[0]
-    for i in range(d):
-        for a in range(min(i, d_x)):
-            vec.append(p.B[i, a])
-    return np.array(vec)
-
-
-def _params_from_vector(vec, d, d_x):
-    m, alpha, sigma = math.exp(vec[0]), math.exp(vec[1]), math.exp(vec[2])
-    beta = vec[3]
+def _member(eta, d, d_x):
+    """The family member with natural coordinates eta; ConstraintViolated outside it."""
     b = np.zeros((d, d))
-    k = 4
-    for i in range(d):
-        for a in range(min(i, d_x)):
-            b[i, a] = vec[k]
-            b[a, i] = -vec[k]
-            k += 1
-    return TravelingMaxwellianParams(m, alpha, sigma, beta, b)
+    for (i, a), val in zip(_free_entries(d, d_x), eta[4:]):
+        b[i, a], b[a, i] = val, -val
+    p = TravelingMaxwellianParams(1.0, float(eta[2]), float(eta[1]), float(eta[3]), b)
+    p.m = math.exp(eta[0]) / p.prefactor(d_x)  # the prefactor is linear in m
+    p.validate()
+    return p
 
 
 def fit_maxwellian(sharp_field: DistributionField):
     """Project f-sharp data onto the traveling Maxwellian family.
 
-    Moment matching (mass and second moments of (v, x)) initializes the
-    parameters; the family's covariance is the inverse of its precision
-    matrix, so an in-family field is recovered immediately up to quadrature
-    error.  A Nelder-Mead pass then refines the weighted L2 residual
-    ||<v>^2 <x>^2 (f_sharp - M_sharp)||_L2.
+    Minimises ||<v>^2 <x>^2 (f_sharp - M_sharp)||_L2 over eta from the
+    moment-matched start by steps that solve the column-scaled normal equations
+    damped by lam I; lam falls tenfold after a step that lowers the residual and
+    rises tenfold otherwise.  Converged: an accepted step lowered the squared
+    residual by at most FIT_RTOL of it, or a trial step moved the weighted model
+    by at most FIT_RTOL of its norm (round-off reached); not converged: the
+    FIT_MAX_STEPS trials ran out.  A feature that is 0 on the grid keeps its start.
     """
     grid = sharp_field.grid
-    mass = float(np.sum(sharp_field.values)) * grid.cell_volume
-    norm = math.sqrt(float(np.sum(sharp_field.values ** 2)) * grid.cell_volume)
+    values = sharp_field.values
+    mass = float(np.sum(values)) * grid.cell_volume
+    norm = math.sqrt(float(np.sum(values ** 2)) * grid.cell_volume)
     if mass <= 1e-12 * max(norm, 1e-300) or mass <= 0.0:
         raise ZeroMass("cannot fit a traveling Maxwellian to (near) zero mass data")
 
-    weight = _weighted_l2(sharp_field)
-    vol = grid.cell_volume
     d, d_x = grid.d_v, grid.d_x
-
-    def residual_of(params):
-        try:
-            model = maxwellian_sharp_field(params, grid)
-        except ConstraintViolated:
-            return math.inf
-        return _fit_residual(sharp_field.values, model.values, weight, vol)
-
-    mass0, cov = _second_moments(sharp_field)
     try:
-        best = _project_params(mass0, cov, d, d_x)
-        best.validate()
+        start = _project_params(mass, _second_moments(sharp_field, mass), d, d_x)
+        start.validate()
     except (ConstraintViolated, np.linalg.LinAlgError):
-        best = TravelingMaxwellianParams(mass0, 1.0, 1.0, 0.0, np.zeros((d, d)))
-    best_res = residual_of(best)
+        start = TravelingMaxwellianParams(mass, 1.0, 1.0, 0.0, np.zeros((d, d)))
+    feats = _features(grid)
+    columns = [1.0] + feats  # d log M-sharp / d eta
+    wv, wx = 1.0 + sum(v * v for v in grid.v_mesh()), 1.0 + sum(x * x for x in grid.x_mesh())
+    wf = values * wv * wx
 
-    vec = _params_vector(best, d_x)
-    opt = minimize(lambda u: residual_of(_params_from_vector(u, d, d_x)), vec,
-                   method="Nelder-Mead",
-                   options={"xatol": 1e-12, "fatol": 1e-14, "maxfev": FIT_MAX_EVALS})
-    converged = bool(opt.success)
-    if opt.fun < best_res:
-        best_res = float(opt.fun)
-        best = _params_from_vector(opt.x, d, d_x)
-    return MaxwellianFit(best, best_res, converged)
+    def evaluate(eta):
+        """|r|^2, J^T J and J^T r of r = w (f_sharp - M_sharp), J_k = w M_sharp psi_k."""
+        wm = math.exp(eta[0]) * np.exp(sum(c * psi for c, psi in zip(eta[1:], feats))) * wv * wx
+        wr = wf - wm
+        g, h = wm * wm, wm * wr
+        jtj = np.empty((len(eta), len(eta)))
+        for k, psi in enumerate(columns):
+            gk = g * psi
+            for j in range(k, len(eta)):
+                jtj[k, j] = jtj[j, k] = np.sum(gk * columns[j])
+        return float(np.sum(wr ** 2)), jtj, np.array([np.sum(h * psi) for psi in columns])
+
+    eta = np.array([math.log(start.prefactor(d_x))] + _coords(start, d_x))
+    cost, jtj, jtr = evaluate(eta)
+    lam, converged = 1e-3, False
+    for _ in range(FIT_MAX_STEPS):
+        scale = np.sqrt(np.diag(jtj))
+        scale[scale == 0.0] = 1.0
+        damped = jtj / np.outer(scale, scale) + lam * np.eye(len(eta))
+        step = np.linalg.lstsq(damped, jtr / scale, rcond=None)[0] / scale
+        trial = evaluate(eta + step)
+        if trial[0] < cost:
+            converged = cost - trial[0] <= FIT_RTOL * cost
+            eta, lam = eta + step, lam / 10.0
+            cost, jtj, jtr = trial
+        else:
+            lam *= 10.0
+        if converged or step @ jtj @ step <= FIT_RTOL ** 2 * jtj[0, 0]:
+            converged = True
+            break
+    return MaxwellianFit(_member(eta, d, d_x), math.sqrt(cost * grid.cell_volume), converged)

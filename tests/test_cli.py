@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -217,3 +220,15 @@ def test_cli_maxfit_on_checkpoint(tmp_path, capsys):
 def test_cli_error_exit_code(tmp_path):
     missing = str(tmp_path / "nope.json")
     assert main(["run", "--config", missing, "--quiet"]) == 1
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is needed only by landau.oracles, which `landau oracle` imports lazily
+    import landau
+    src = os.path.dirname(os.path.dirname(os.path.abspath(landau.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, landau, landau.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

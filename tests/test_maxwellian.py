@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from landau.cli import main, save_checkpoint
 from landau.errors import ConstraintViolated, ZeroMass
 from landau.maxwellian import (MaxwellianFit, TravelingMaxwellianParams,
                                eval_maxwellian, fit_maxwellian,
@@ -113,3 +116,39 @@ def test_fit_off_family_leaves_residual():
     norm = math.sqrt(float(np.sum(vals ** 2)) * g.cell_volume)
     assert isinstance(fit, MaxwellianFit)
     assert fit.residual > 0.1 * norm
+
+
+@settings(max_examples=25, deadline=None)
+@given(scale=st.lists(st.floats(0.95, 1.05), min_size=5, max_size=5))
+def test_fit_converges_on_perturbed_in_family_fields(scale):
+    # every in-family draw within 5% of the defaults must converge, not only the defaults
+    true = [1.7, 1.2, 0.9, 0.25, 0.3]
+    m, alpha, sigma, beta, b01 = (s * t for s, t in zip(scale, true))
+    p = _params_2d(m=m, alpha=alpha, sigma=sigma, beta=beta, b01=b01)
+    g = Grid(2, 2, 16, 16, 14.0, 6.0)
+    field = maxwellian_sharp_field(p, g)
+    fit = fit_maxwellian(field)
+    norm = math.sqrt(float(np.sum(field.values ** 2)) * g.cell_volume)
+    assert fit.converged
+    assert fit.residual <= 1e-8 * norm
+    got = (fit.params.m, fit.params.alpha, fit.params.sigma, fit.params.beta, fit.params.B[0, 1])
+    for value, want in zip(got, (m, alpha, sigma, beta, b01)):
+        assert value == pytest.approx(want, rel=1e-6)
+
+
+def test_fit_keeps_features_that_vanish_on_the_grid(tmp_path, capsys):
+    # one x cell centred at x = 0: the alpha, beta and B features are all 0
+    g = Grid(1, 2, 1, 16, 10.0, 5.0)
+    assert np.all(g.x_axis() == 0.0)
+    p = TravelingMaxwellianParams(1.0, 2.0, 1.2, 0.0, np.zeros((2, 2)))
+    field = maxwellian_sharp_field(p, g)
+    fit = fit_maxwellian(field)
+    norm = math.sqrt(float(np.sum(field.values ** 2)) * g.cell_volume)
+    assert fit.converged
+    assert fit.residual <= 1e-8 * norm
+    assert fit.params.sigma == pytest.approx(1.2, rel=1e-6)
+
+    path = str(tmp_path / "one_cell.lndk")
+    save_checkpoint(path, field, -1.0)
+    assert main(["maxfit", path]) == 0
+    assert "converged True" in capsys.readouterr().out
