@@ -64,18 +64,12 @@ def apply_collision_divergence(f_slice, coeffs: CoefficientFields, grid: Grid):
 
 def _second_difference(f, dv, axis):
     """Centered second difference with zero extension past the boundary."""
-    out = (-2.0 * f + np.roll(f, 1, axis=axis) + np.roll(f, -1, axis=axis)) / dv ** 2
-    first = [slice(None)] * f.ndim
-    last = [slice(None)] * f.ndim
-    first[axis] = 0
-    last[axis] = -1
-    nb_first = [slice(None)] * f.ndim
-    nb_last = [slice(None)] * f.ndim
-    nb_first[axis] = 1
-    nb_last[axis] = -2
-    out[tuple(first)] = (-2.0 * f[tuple(first)] + f[tuple(nb_first)]) / dv ** 2
-    out[tuple(last)] = (-2.0 * f[tuple(last)] + f[tuple(nb_last)]) / dv ** 2
-    return out
+    lo = (slice(None),) * axis + (slice(0, -1),)
+    hi = (slice(None),) * axis + (slice(1, None),)
+    out = -2.0 * f
+    out[hi] += f[lo]
+    out[lo] += f[hi]
+    return out / dv ** 2
 
 
 def apply_collision_diffusion(f_slice, coeffs: CoefficientFields, grid: Grid):

@@ -2,8 +2,9 @@
 
 The family is the Gaussian in the pair u = (v, x - t v) with block precision
 matrix S = [[sigma I, beta I + B], [beta I - B, alpha I]], B skew-symmetric,
-subject to Q = (alpha sigma - beta^2) I + B^2 positive definite.  M-sharp
-(the pullback to t = 0 coordinates) is exactly t-independent.
+subject to S positive definite; at d_x = d_v its Schur complement is Q / sigma,
+Q = (alpha sigma - beta^2) I + B^2.  M-sharp (the pullback to t = 0
+coordinates) is exactly t-independent.
 
 On reduced spatial dimension (d_x < d_v) the coupling block keeps only the
 columns paired with a spatial axis and the prefactor uses the general Gaussian
@@ -38,20 +39,15 @@ class TravelingMaxwellianParams:
     def __post_init__(self):
         self.B = np.asarray(self.B, dtype=float)
 
-    def validate(self):
+    def validate(self, d_x):
         if self.m < 0.0:
             raise ConstraintViolated("mass scale m must be >= 0")
         if self.alpha <= 0.0 or self.sigma <= 0.0:
             raise ConstraintViolated("alpha and sigma must be positive")
         if not np.allclose(self.B, -self.B.T, atol=1e-12):
             raise ConstraintViolated("B must be skew-symmetric")
-        q = self.q_matrix()
-        if np.min(np.linalg.eigvalsh(q)) <= 0.0:
-            raise ConstraintViolated("Q = (alpha sigma - beta^2) I + B^2 not PD")
-
-    def q_matrix(self):
-        d = self.B.shape[0]
-        return (self.alpha * self.sigma - self.beta ** 2) * np.eye(d) + self.B @ self.B
+        if np.min(np.linalg.eigvalsh(self.precision(d_x))) <= 0.0:
+            raise ConstraintViolated(f"precision S on (v, x) with d_x = {d_x} not PD")
 
     def precision(self, d_x):
         """Block precision matrix on (v, x) with d_x spatial axes."""
@@ -76,10 +72,10 @@ class TravelingMaxwellianParams:
 
 def eval_maxwellian(p: TravelingMaxwellianParams, t, x, v):
     """M(t, x, v); positive wherever the constraints hold."""
-    p.validate()
     v = np.atleast_1d(np.asarray(v, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d_x = x.size
+    p.validate(d_x)
     u = np.concatenate([v, x - t * v[:d_x]])
     s = p.precision(d_x)
     return p.prefactor(d_x) * math.exp(-0.5 * float(u @ s @ u))
@@ -113,7 +109,7 @@ def _coords(p: TravelingMaxwellianParams, d_x):
 
 def maxwellian_sharp_field(p: TravelingMaxwellianParams, grid: Grid):
     """M-sharp sampled on a phase-space grid as a DistributionField at t = 0."""
-    p.validate()
+    p.validate(grid.d_x)
     expo = sum(c * psi for c, psi in zip(_coords(p, grid.d_x), _features(grid)))
     return DistributionField(0.0, p.prefactor(grid.d_x) * np.exp(expo), grid)
 
@@ -158,7 +154,7 @@ def _member(eta, d, d_x):
         b[i, a], b[a, i] = val, -val
     p = TravelingMaxwellianParams(1.0, float(eta[2]), float(eta[1]), float(eta[3]), b)
     p.m = math.exp(eta[0]) / p.prefactor(d_x)  # the prefactor is linear in m
-    p.validate()
+    p.validate(d_x)
     return p
 
 
@@ -183,25 +179,30 @@ def fit_maxwellian(sharp_field: DistributionField):
     d, d_x = grid.d_v, grid.d_x
     try:
         start = _project_params(mass, _second_moments(sharp_field, mass), d, d_x)
-        start.validate()
+        start.validate(d_x)
     except (ConstraintViolated, np.linalg.LinAlgError):
         start = TravelingMaxwellianParams(mass, 1.0, 1.0, 0.0, np.zeros((d, d)))
     feats = _features(grid)
-    columns = [1.0] + feats  # d log M-sharp / d eta
-    wv, wx = 1.0 + sum(v * v for v in grid.v_mesh()), 1.0 + sum(x * x for x in grid.x_mesh())
-    wf = values * wv * wx
+    # d log M-sharp / d eta, each with the field's axes (the x features are the scalar 0 at d_x = 0)
+    columns = [np.full((1,) * values.ndim, psi) if np.ndim(psi) == 0 else psi
+               for psi in [1.0] + feats]
+    w = (1.0 + sum(v * v for v in grid.v_mesh())) * (1.0 + sum(x * x for x in grid.x_mesh()))
+    wf = values * w
+    sub = "abcdef"[:values.ndim]
+    two, three = f"{sub},{sub}->", f"{sub},{sub},{sub}->"  # sums of products, no temporaries
 
     def evaluate(eta):
         """|r|^2, J^T J and J^T r of r = w (f_sharp - M_sharp), J_k = w M_sharp psi_k."""
-        wm = math.exp(eta[0]) * np.exp(sum(c * psi for c, psi in zip(eta[1:], feats))) * wv * wx
+        wm = math.exp(eta[0]) * np.exp(sum(c * psi for c, psi in zip(eta[1:], feats)))
+        wm *= w
         wr = wf - wm
         g, h = wm * wm, wm * wr
         jtj = np.empty((len(eta), len(eta)))
         for k, psi in enumerate(columns):
-            gk = g * psi
             for j in range(k, len(eta)):
-                jtj[k, j] = jtj[j, k] = np.sum(gk * columns[j])
-        return float(np.sum(wr ** 2)), jtj, np.array([np.sum(h * psi) for psi in columns])
+                jtj[k, j] = jtj[j, k] = np.einsum(three, g, psi, columns[j])
+        jtr = np.array([np.einsum(two, h, psi) for psi in columns])
+        return float(np.einsum(two, wr, wr)), jtj, jtr
 
     eta = np.array([math.log(start.prefactor(d_x))] + _coords(start, d_x))
     cost, jtj, jtr = evaluate(eta)

@@ -34,7 +34,7 @@ class RadialTestFunction:
     """Radial test function on R^3 with a finite support/decay scale."""
 
     name: str
-    profile: callable       # r -> h(r) >= 0
+    profile: callable       # float r -> float h(r) >= 0, one point at a time
     r_max: float            # effectively sup of the support
 
     def l1(self):
@@ -50,8 +50,7 @@ class RadialTestFunction:
         return math.sqrt(val)
 
     def linf(self):
-        r = np.linspace(0.0, self.r_max, 4001)
-        return float(np.max(self.profile(r)))
+        return float(max(self.profile(r) for r in np.linspace(0.0, self.r_max, 4001)))
 
 
 def _check_quad(val, err):
@@ -67,39 +66,26 @@ def default_catalog():
     cat = []
     for s in (0.5, 1.0, 2.0, 4.0):
         cat.append(RadialTestFunction(
-            f"gaussian_s{s}", lambda r, s=s: np.exp(-(np.asarray(r) / s) ** 2),
-            8.0 * s))
+            f"gaussian_s{s}", lambda r, s=s: math.exp(-(r / s) ** 2), 8.0 * s))
     for a in (0.5, 1.0, 2.0, 3.0):
         cat.append(RadialTestFunction(
-            f"ball_a{a}", lambda r, a=a: 1.0 * (np.asarray(r) <= a), a))
+            f"ball_a{a}", lambda r, a=a: 1.0 if r <= a else 0.0, a))
     for a in (1.0, 2.0, 4.0):
         def bump(r, a=a):
-            r = np.asarray(r, dtype=float)
             u = (r / a) ** 2
-            out = np.zeros_like(u)
-            inside = u < 1.0
-            out[inside] = np.exp(-1.0 / (1.0 - u[inside]))
-            return out
+            return math.exp(-1.0 / (1.0 - u)) if u < 1.0 else 0.0
         cat.append(RadialTestFunction(f"bump_a{a}", bump, a))
     for r0 in (1.0, 2.0, 3.0):
         cat.append(RadialTestFunction(
-            f"shell_r{r0}",
-            lambda r, r0=r0: np.exp(-((np.asarray(r) - r0) / 0.5) ** 2),
-            r0 + 5.0))
+            f"shell_r{r0}", lambda r, r0=r0: math.exp(-((r - r0) / 0.5) ** 2), r0 + 5.0))
     for k in (2, 4):
         cat.append(RadialTestFunction(
-            f"poly{k}_gaussian", lambda r, k=k: np.asarray(r) ** k * np.exp(-np.asarray(r) ** 2),
-            9.0))
+            f"poly{k}_gaussian", lambda r, k=k: r ** k * math.exp(-r ** 2), 9.0))
+    cat.append(RadialTestFunction("cusp", lambda r: math.exp(-abs(r)), 30.0))
+    cat.append(RadialTestFunction("lorentz4", lambda r: 1.0 / (1.0 + r ** 2) ** 4, 60.0))
+    cat.append(RadialTestFunction("gauss_drift", lambda r: math.exp(-(r - 1.0) ** 2 / 2.0), 9.0))
     cat.append(RadialTestFunction(
-        "cusp", lambda r: np.exp(-np.abs(np.asarray(r))), 30.0))
-    cat.append(RadialTestFunction(
-        "lorentz4", lambda r: 1.0 / (1.0 + np.asarray(r) ** 2) ** 4, 60.0))
-    cat.append(RadialTestFunction(
-        "gauss_drift", lambda r: np.exp(-(np.asarray(r) - 1.0) ** 2 / 2.0), 9.0))
-    cat.append(RadialTestFunction(
-        "double_scale",
-        lambda r: np.exp(-np.asarray(r) ** 2) + 0.1 * np.exp(-(np.asarray(r) / 3.0) ** 2),
-        24.0))
+        "double_scale", lambda r: math.exp(-r ** 2) + 0.1 * math.exp(-(r / 3.0) ** 2), 24.0))
     return cat
 
 

@@ -1,9 +1,14 @@
 """Exact free transport on the periodic box and the f-sharp pullback.
 
-Transport d_t f + v . d_x f = 0 is integrated by a spectral phase shift: each
-velocity cell's spatial slice is translated by v dt exactly (for grid-sampled
-band-limited data) via the FFT.  No interpolation, hence no numerical
-diffusion; measured dispersion rates are physical.
+Transport d_t f + v . d_x f = 0 is integrated by a spectral phase shift: the
+half spectrum of the field over the x axes (rfftn) is multiplied by one factor
+exp(-i dt k_a v_a) per x axis a and its paired velocity axis, which translates
+each velocity cell's spatial slice by v dt exactly for band-limited data.  No
+interpolation, hence no numerical diffusion; measured dispersion rates are
+physical.  Nyquist content (even n_x) is not translated.  On the last x axis
+the Nyquist plane is multiplied by cos(pi v dt / dx) of the paired velocity;
+on another x axis a, a Nyquist mode is multiplied by cos(pi v_a dt / dx) where
+its last-axis frequency is 0, and travels as wave number -pi/dx where it is not.
 """
 
 import numpy as np
@@ -11,35 +16,21 @@ import numpy as np
 from .phase_state import DistributionField
 
 
-def _phase(grid, dt):
-    """Shift phase exp(-i dt sum_a k_a v_a) over the field shape.
-
-    The exponential is taken over the x axes and the v axes paired with them
-    only, as the phase is constant along the others, and then copied out to
-    the full shape: a product with a broadcast operand takes another numpy
-    loop, whose last bit can differ.
-    """
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n_x, d=grid.dx)
-    v = grid.v_axis()
-    paired = (grid.n_x,) * grid.d_x + (grid.n_v,) * grid.d_x
-    expo = np.zeros(paired + (1,) * (grid.d_v - grid.d_x), dtype=float)
-    for a in range(grid.d_x):
-        kshape = [1] * (grid.d_x + grid.d_v)
-        kshape[a] = grid.n_x
-        vshape = [1] * (grid.d_x + grid.d_v)
-        vshape[grid.d_x + a] = grid.n_v
-        expo = expo + k.reshape(kshape) * v.reshape(vshape)
-    return np.broadcast_to(np.exp(-1j * dt * expo), grid.shape).copy()
-
-
 def transport_shift(f: DistributionField, dt):
     """Translate each spatial slice by v dt; advance the time stamp by dt."""
-    if f.grid.d_x == 0:
-        return DistributionField(f.time + dt, f.values.copy(), f.grid)
-    axes = tuple(range(f.grid.d_x))
-    fhat = np.fft.fftn(f.values, axes=axes)
-    shifted = np.fft.ifftn(fhat * _phase(f.grid, dt), axes=axes).real
-    return DistributionField(f.time + dt, shifted, f.grid)
+    grid = f.grid
+    if grid.d_x == 0:
+        return DistributionField(f.time + dt, f.values.copy(), grid)
+    axes = tuple(range(grid.d_x))
+    fhat = np.fft.rfftn(f.values, axes=axes)
+    for a in axes:
+        freq = np.fft.rfftfreq if a == grid.d_x - 1 else np.fft.fftfreq
+        k = 2.0 * np.pi * freq(grid.n_x, d=grid.dx)
+        shape = [1] * fhat.ndim
+        shape[a], shape[grid.d_x + a] = k.size, grid.n_v
+        fhat *= np.exp(-1j * dt * np.outer(k, grid.v_axis())).reshape(shape)
+    shifted = np.fft.irfftn(fhat, s=(grid.n_x,) * grid.d_x, axes=axes)
+    return DistributionField(f.time + dt, shifted, grid)
 
 
 def free_solution(data: DistributionField, t):

@@ -21,24 +21,33 @@ def _params_2d(m=1.0, alpha=1.0, sigma=1.0, beta=0.3, b01=0.4):
 
 
 def test_validate_accepts_legal_params():
-    _params_2d().validate()
+    _params_2d().validate(2)
 
 
 def test_validate_rejects_bad_params():
     with pytest.raises(ConstraintViolated):
-        TravelingMaxwellianParams(1.0, -1.0, 1.0, 0.0, np.zeros((2, 2))).validate()
+        TravelingMaxwellianParams(1.0, -1.0, 1.0, 0.0, np.zeros((2, 2))).validate(2)
     with pytest.raises(ConstraintViolated):
-        TravelingMaxwellianParams(1.0, 1.0, 1.0, 0.0, np.ones((2, 2))).validate()
+        TravelingMaxwellianParams(1.0, 1.0, 1.0, 0.0, np.ones((2, 2))).validate(2)
     # beta^2 >= alpha sigma with B = 0 breaks positive definiteness
     with pytest.raises(ConstraintViolated):
-        TravelingMaxwellianParams(1.0, 1.0, 1.0, 1.0, np.zeros((2, 2))).validate()
+        TravelingMaxwellianParams(1.0, 1.0, 1.0, 1.0, np.zeros((2, 2))).validate(2)
 
 
-def test_q_matrix_value():
-    p = _params_2d(alpha=2.0, sigma=1.5, beta=0.5, b01=0.4)
-    q = p.q_matrix()
-    expected = (2.0 * 1.5 - 0.25) * np.eye(2) + p.B @ p.B
-    assert np.allclose(q, expected)
+def test_validate_checks_the_precision_of_the_paired_axes_only():
+    # B_12 couples two velocity axes without a spatial partner: it enters
+    # Q = (alpha sigma - beta^2) I + B^2 (not PD here) but not S or M-sharp
+    b = np.zeros((3, 3))
+    b[1, 2], b[2, 1] = 2.0, -2.0
+    p = TravelingMaxwellianParams(1.0, 1.0, 1.0, 0.0, b)
+    assert np.min(np.linalg.eigvalsh((1.0 * np.eye(3) + b @ b))) < 0.0
+    g = Grid(1, 3, 8, 8, 10.0, 5.0)
+    field = maxwellian_sharp_field(p, g)
+    assert np.all(np.isfinite(field.values)) and np.max(field.values) > 0.0
+    assert np.allclose(np.linalg.eigvalsh(p.precision(1)), 1.0)
+    # at d_x = d_v the same B is a coupling: S has the Schur complement Q / sigma
+    with pytest.raises(ConstraintViolated):
+        p.validate(3)
 
 
 def test_sharp_equals_time_slices():

@@ -88,6 +88,5 @@ def test_hls_finite_both_branches():
 def test_catalog_size_and_nonnegativity():
     cat = default_catalog()
     assert len(cat) == 20
-    r = np.linspace(0.0, 5.0, 101)
     for h in cat:
-        assert np.all(np.asarray(h.profile(r)) >= 0.0)
+        assert all(h.profile(r) >= 0.0 for r in np.linspace(0.0, 5.0, 101))
