@@ -8,6 +8,7 @@ kernel is tabulated once per (velocity grid, gamma) as exact cell averages
 because index differences never wrap.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,21 +87,115 @@ def kernel_tables(grid: Grid, p: KernelParams):
 
 @dataclass
 class CoefficientFields:
-    """Per-cell convolution coefficients, one array of the field's shape per component.
+    """Per-cell convolution coefficients, one array per component.
 
     a_bar[i][j] is the same array as a_bar[j][i]; b_bar[i] is component i.
     """
 
     a_bar: tuple  # d x d nested tuple of arrays
-    b_bar: tuple  # d-tuple of arrays
+    b_bar: tuple  # d-tuple of arrays, or None when not computed
     c_bar: np.ndarray  # or None when not computed
 
 
-def _validate_nonnegative(values):
-    peak = float(np.max(values, initial=0.0))
-    if peak > 0.0 and float(np.min(values)) < -1e-14 * peak:
+def _fields(comp, d):
+    """CoefficientFields of the arrays in comp, keyed by kernel table name."""
+    a_bar = tuple(tuple(comp[f"a{min(i, j)}{max(i, j)}"] for j in range(d)) for i in range(d))
+    b_bar = tuple(comp[f"b{i}"] for i in range(d)) if "b0" in comp else None
+    return CoefficientFields(a_bar, b_bar, comp.get("c"))
+
+
+def _table_names(d, tables):
+    """Names of the kernel tables of the kinds in tables ("a", "b", "c"), in table order."""
+    names = [f"a{i}{j}" for i, j in _sym_pairs(d)] + [f"b{i}" for i in range(d)] + ["c"]
+    return [name for name in names if name[0] in tables]
+
+
+def _checked_tables(f: DistributionField, p: KernelParams):
+    """kernel_tables of f's grid, once the kernel's dimension and f's sign are checked."""
+    if f.grid.d_v != p.d:
+        raise ValueError("grid velocity dimension and kernel dimension differ")
+    peak = float(np.max(f.values, initial=0.0))
+    if peak > 0.0 and float(np.min(f.values)) < -1e-14 * peak:
         raise NegativeInput("distribution has negative values beyond round-off")
-    return np.maximum(values, 0.0)
+    return kernel_tables(f.grid, p)
+
+
+def cell_view(values, grid: Grid):
+    """values of the grid's shape viewed as (spatial cells,) + (n_v,) * d_v."""
+    return values.reshape((-1,) + (grid.n_v,) * grid.d_v)
+
+
+def _convolve_block(fv, fft_tables, names, grid: Grid):
+    """The named convolution outputs of the block of cells fv, each of fv's shape.
+
+    rfft and irfft on the padded lattice, one axis at a time, so that only the
+    lines holding data or kept outputs are transformed: the lines past n of the
+    input are zero and those past n of the output are discarded.  Every kept
+    value is bitwise the full transform's.
+    """
+    n, d = grid.n_v, grid.d_v
+    m = 2 * n
+    fhat = np.fft.rfft(fv, m, axis=d)
+    for ax in range(d - 1, 0, -1):
+        fhat = np.fft.fft(fhat, m, axis=ax)
+    out = {}
+    for name in names:
+        conv = fhat * fft_tables[name][None]
+        for ax in range(1, d):
+            conv = np.fft.ifft(conv, m, axis=ax)[(slice(None),) * ax + (slice(0, n),)]
+        out[name] = np.fft.irfft(conv, m, axis=d)[..., :n] * grid.dv ** d
+    return out
+
+
+_POOL = None
+
+
+def _pool():
+    """The worker threads, one per CPU the process may run on, made at first use.
+
+    numpy's FFTs and ufuncs release the GIL, so blocks of cells run in parallel.
+    """
+    global _POOL
+    if _POOL is None:
+        from concurrent.futures import ThreadPoolExecutor
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count())
+        _POOL = ThreadPoolExecutor(len(cpus))
+    return _POOL
+
+
+def _forget_pool():
+    global _POOL
+    _POOL = None
+
+
+# A forked child has none of its parent's threads, so it makes its own pool.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def coefficient_pass(f: DistributionField, p: KernelParams, tables, consume):
+    """consume(cells, coeffs) on every block of CELL_BLOCK spatial cells of f.
+
+    tables names the kernel tables to convolve: "a" and any of "b" and "c".
+    cells is a slice of the cell axis of cell_view(f.values, grid), and coeffs
+    holds the block's convolution outputs in that layout, with b_bar or c_bar
+    None when not asked for.  The blocks run on a pool of threads, each
+    consumer on the thread of its block, so a consumer writes only to its own
+    cells.  Returns the consumers' results in block order.  Each block's
+    arithmetic does not depend on the others, so neither do the results on
+    the number of threads.
+    """
+    grid = f.grid
+    _, fft_tables = _checked_tables(f, p)
+    names = _table_names(grid.d_v, tables)
+    fv = cell_view(f.values, grid)
+
+    def block(lo):
+        cells = slice(lo, lo + CELL_BLOCK)
+        comp = _convolve_block(np.maximum(fv[cells], 0.0), fft_tables, names, grid)
+        return consume(cells, _fields(comp, grid.d_v))
+
+    return list(_pool().map(block, range(0, fv.shape[0], CELL_BLOCK)))
 
 
 def compute_coefficients(f: DistributionField, p: KernelParams, method="fft", with_c=True):
@@ -110,59 +205,44 @@ def compute_coefficients(f: DistributionField, p: KernelParams, method="fft", wi
     """
     grid = f.grid
     d = grid.d_v
-    if d != p.d:
-        raise ValueError("grid velocity dimension and kernel dimension differ")
-    vals = _validate_nonnegative(f.values)
-    tables, fft_tables = kernel_tables(grid, p)
-    n = grid.n_v
-    m = 2 * n
-    xshape = vals.shape[: grid.d_x]
-    nxc = int(np.prod(xshape, dtype=int)) if grid.d_x else 1
-    fv = vals.reshape((nxc,) + (n,) * d)
-    scale = grid.dv ** d
-    names = [name for name in tables if with_c or name != "c"]
-
-    out = {}
+    tables = "abc" if with_c else "ab"
+    names = _table_names(d, tables)
+    fv = cell_view(f.values, grid)
     if method == "fft":
-        # rfftn and irfftn on the padded lattice, one axis at a time, so that
-        # only the lines holding data or kept outputs are transformed: the
-        # lines past n of the input are zero and those past n of the output
-        # are discarded.  Every kept value is bitwise the full transform's.
-        for name in names:
-            out[name] = np.empty(fv.shape)
-        for lo in range(0, nxc, CELL_BLOCK):
-            cells = slice(lo, lo + CELL_BLOCK)
-            fhat = np.fft.rfft(fv[cells], m, axis=d)
-            for ax in range(d - 1, 0, -1):
-                fhat = np.fft.fft(fhat, m, axis=ax)
-            for name in names:
-                conv = fhat * fft_tables[name][None]
-                for ax in range(1, d):
-                    conv = np.fft.ifft(conv, m, axis=ax)[(slice(None),) * ax + (slice(0, n),)]
-                out[name][cells] = np.fft.irfft(conv, m, axis=d)[..., :n] * scale
+        out = {name: np.empty(fv.shape) for name in names}
+
+        def store(cells, block):
+            for dst, src in zip(out.values(), _components(block)):
+                dst[cells] = src
+
+        coefficient_pass(f, p, tables, store)
     elif method == "direct":
+        lattice, _ = _checked_tables(f, p)
+        fv = np.maximum(fv, 0.0)
+        n = grid.n_v
+        out = {}
         for name in names:
-            tab = tables[name]
+            tab = lattice[name]
             acc = np.zeros_like(fv)
-            it = np.ndindex(*((n,) * d))
-            for j in it:
+            for j in np.ndindex(*((n,) * d)):
                 w = fv[(slice(None),) + j]
-                block = tab[tuple(slice(n - 1 - jj, m - 1 - jj) for jj in j)]
+                block = tab[tuple(slice(n - 1 - jj, 2 * n - 1 - jj) for jj in j)]
                 acc += w[(slice(None),) + (None,) * d] * block[None]
-            out[name] = acc * scale
+            out[name] = acc * grid.dv ** d
     else:
         raise ValueError(f"unknown method {method!r}")
-
-    full = vals.shape
-    comp = {name: arr.reshape(full) for name, arr in out.items()}
-    a_bar = tuple(tuple(comp[f"a{min(i, j)}{max(i, j)}"] for j in range(d)) for i in range(d))
-    b_bar = tuple(comp[f"b{i}"] for i in range(d))
-    return CoefficientFields(a_bar, b_bar, comp["c"] if with_c else None)
+    return _fields({name: arr.reshape(f.values.shape) for name, arr in out.items()}, d)
 
 
 def distinct_a_bar(coeffs: CoefficientFields):
     """The distinct components a_bar[i][j], i <= j."""
     return [coeffs.a_bar[i][j] for i, j in _sym_pairs(len(coeffs.a_bar))]
+
+
+def _components(coeffs: CoefficientFields):
+    """The distinct computed component arrays, in kernel table order."""
+    comps = distinct_a_bar(coeffs) + list(coeffs.b_bar or ()) + [coeffs.c_bar]
+    return [comp for comp in comps if comp is not None]
 
 
 def coefficient_sup_norms(coeffs: CoefficientFields, gamma, vb, xtb):

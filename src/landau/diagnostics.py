@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import coefficient_sup_norms, compute_coefficients
+from .coefficients import cell_view, coefficient_pass, coefficient_sup_norms
 from .collision import apply_collision_diffusion, h_functional
 from .errors import GammaOutOfRange, GridMismatch, InsufficientPoints, NonPositiveValue
 from .phase_state import DistributionField, WeightSpec, bracket, to_g
@@ -232,24 +232,29 @@ def make_record(f: DistributionField, p, d0, sharp0: DistributionField, acc, cli
     p is the kernel, d0 the Gaussian weight's constant, sharp0 the f-sharp the
     record is compared with, and acc the ENormAccumulator of the run, which
     this record adds its E-norm integrand to.  <v> and <x - t v> are built once
-    and each derivative is taken once.  A zero field has zero coefficients, so
-    its sups and null term are 0.
+    and each derivative is taken once.  The null term and the coefficient sups
+    come from one coefficient pass over the a and c tables, block by block, so
+    no full-field coefficient is built.  A zero field has zero coefficients,
+    so its sups and null term are 0.
     """
     grid = f.grid
     hp = hierarchy_params(p.gamma)
     rho, m, e = velocity_moments(f.values, grid)
     xvol = grid.dx ** grid.d_x
     diff0 = sharp_cauchy_diff(pullback_sharp(f), sharp0)
-    # In this order the weights do not coexist with the operator's temporaries,
-    # and the coefficient fields are gone before the norms run.
-    coeffs = compute_coefficients(f, p)
-    diffusion = apply_collision_diffusion(f.values, coeffs, grid)
     vb = bracket(grid.v_squared())
-    null_term = float(np.max(np.abs(diffusion) / vb ** (2.0 + p.gamma)))
-    del diffusion
     xtb = bracket(grid.x_minus_tv_squared(f.time))
-    sups = coefficient_sup_norms(coeffs, p.gamma, vb, xtb)
-    del coeffs
+    fv, vbc, xtbc = (cell_view(arr, grid) for arr in (f.values, vb, xtb))
+
+    def sups(cells, coeffs):
+        # the null term a_bar_ij D_ij f and the coefficient sups of one block
+        diffusion = apply_collision_diffusion(fv[cells], coeffs, grid)
+        out = coefficient_sup_norms(coeffs, p.gamma, vbc[cells], xtbc[cells])
+        return (np.max(np.abs(diffusion) / vbc[cells] ** (2.0 + p.gamma)),
+                out["plain"], out["weighted_down"], out["c_sup"])
+
+    null_term, plain, weighted, c_sup = (
+        float(v) for v in np.max(coefficient_pass(f, p, "ac", sups), axis=0))
 
     g = to_g(f, WeightSpec.from_gamma(p.gamma, d0))
     z_norms = {}
@@ -275,9 +280,9 @@ def make_record(f: DistributionField, p, d0, sharp0: DistributionField, acc, cli
         e_sup=float(np.max(np.abs(e))),
         E_norms=e_norms,
         Z_norms=z_norms,
-        a_bar_plain_sup=sups["plain"],
-        a_bar_weighted_sup=sups["weighted_down"],
-        c_bar_sup=sups["c_sup"],
+        a_bar_plain_sup=plain,
+        a_bar_weighted_sup=weighted,
+        c_bar_sup=c_sup,
         null_term_sup=null_term,
         sharp_diff_vs_t0=diff0,
         h_value=h_functional(f),

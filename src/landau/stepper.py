@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import compute_coefficients, distinct_a_bar
+from .coefficients import cell_view, coefficient_pass, distinct_a_bar
 from .collision import apply_collision_divergence
 from .config import SimulationConfig, initial_data, validate_config
 from .diagnostics import ENormAccumulator, make_record
@@ -46,9 +46,8 @@ def _clip(values, state: RunState, cell_volume):
     return values
 
 
-def _collision_dt(coeffs, grid, cfl_safety):
-    amax = float(np.max([np.max(np.abs(comp)) for comp in distinct_a_bar(coeffs)]))
-    cmax = float(np.max(np.abs(coeffs.c_bar)))
+def _collision_dt(amax, cmax, grid, cfl_safety):
+    """The CFL step of the explicit update from max |a_bar_ij| and max |c_bar|."""
     dt = math.inf
     if amax > 0.0:
         dt = min(dt, cfl_safety * grid.dv ** 2 / (2.0 * grid.d_v * amax))
@@ -57,33 +56,59 @@ def _collision_dt(coeffs, grid, cfl_safety):
     return dt
 
 
+def _collision_rhs(vals, grid, p: KernelParams, with_c=False):
+    """Q(f) in flux form by one coefficient pass, block by block.
+
+    Returns Q and, per block, (max |a_bar_ij|, max |c_bar|) if with_c, else None.
+    """
+    rhs = np.empty(vals.shape)
+    q, fv = cell_view(rhs, grid), cell_view(vals, grid)
+
+    def stage(cells, coeffs):
+        q[cells] = apply_collision_divergence(fv[cells], coeffs, grid)
+        if with_c:
+            return (np.max([np.max(np.abs(comp)) for comp in distinct_a_bar(coeffs)]),
+                    np.max(np.abs(coeffs.c_bar)))
+
+    maxima = coefficient_pass(DistributionField(0.0, vals, grid), p,
+                              "abc" if with_c else "ab", stage)
+    return rhs, maxima
+
+
+def _check_finite(values, step):
+    if not np.all(np.isfinite(values)):
+        raise NanDetected(f"{step} produced nonfinite values")
+
+
 def collision_substep(f: DistributionField, dt, p: KernelParams, cfl_safety,
                       state: RunState):
     """Sub-cycled RK2 integration of d_t f = Q(f, f) at fixed x."""
     grid = f.grid
     if float(np.max(f.values)) == 0.0:
         return DistributionField(f.time, f.values, f.grid)
-    coeffs = compute_coefficients(f, p)
-    dt_cfl = _collision_dt(coeffs, grid, cfl_safety)
+    vals = f.values
+    k1, maxima = _collision_rhs(vals, grid, p, with_c=True)
+    amax, cmax = np.max(maxima, axis=0)
+    dt_cfl = _collision_dt(float(amax), float(cmax), grid, cfl_safety)
     nsub = max(1, math.ceil(dt / dt_cfl)) if math.isfinite(dt_cfl) else 1
     if nsub > MAX_SUBCYCLES:
         raise CflViolation(f"{nsub} collision sub-cycles needed, cap {MAX_SUBCYCLES}")
     h = dt / nsub
-    vals = f.values
     vol = grid.cell_volume
     for i in range(nsub):
         if i > 0:
-            coeffs = compute_coefficients(DistributionField(f.time, vals, grid), p,
-                                          with_c=False)
-        k1 = apply_collision_divergence(vals, coeffs, grid)
+            k1 = _collision_rhs(vals, grid, p)[0]
         mid = _clip(vals + 0.5 * h * k1, state, vol)
-        coeffs_mid = compute_coefficients(DistributionField(f.time, mid, grid), p,
-                                          with_c=False)
-        k2 = apply_collision_divergence(mid, coeffs_mid, grid)
+        k2 = _collision_rhs(mid, grid, p)[0]
         vals = _clip(vals + h * k2, state, vol)
-        if not np.all(np.isfinite(vals)):
-            raise NanDetected("collision substep produced nonfinite values")
+        _check_finite(vals, "collision substep")
     return DistributionField(f.time, vals, grid)
+
+
+def _transport(f: DistributionField, dt):
+    out = transport_shift(f, dt)
+    _check_finite(out.values, "transport")
+    return out
 
 
 def strang_step(f: DistributionField, dt, p: KernelParams, cfl_safety, state: RunState):
@@ -91,10 +116,10 @@ def strang_step(f: DistributionField, dt, p: KernelParams, cfl_safety, state: Ru
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     vol = f.grid.cell_volume
-    half = transport_shift(f, 0.5 * dt)
+    half = _transport(f, 0.5 * dt)
     half.values = _clip(half.values, state, vol)
     collided = collision_substep(half, dt, p, cfl_safety, state)
-    out = transport_shift(collided, 0.5 * dt)
+    out = _transport(collided, 0.5 * dt)
     out.values = _clip(out.values, state, vol)
     return out
 
@@ -113,7 +138,7 @@ def advance(cfg: SimulationConfig, f: DistributionField, p: KernelParams, state:
             next_out += cfg.output_every
         dt = min(cfg.dt_max, min(cfg.t_final, next_out) - f.time)
         if transport_only:
-            f = transport_shift(f, dt)
+            f = _transport(f, dt)
         else:
             f = strang_step(f, dt, p, cfg.cfl_safety, state)
         yield f, f.time >= next_out - 1e-9 or f.time >= cfg.t_final - 1e-12

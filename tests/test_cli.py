@@ -223,12 +223,15 @@ def test_cli_error_exit_code(tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is needed only by landau.oracles, which `landau oracle` imports lazily
+    # scipy is needed only by landau.oracles, which `landau oracle` imports
+    # lazily; the coefficient pass makes its thread pool at its first call
     import landau
     src = os.path.dirname(os.path.dirname(os.path.abspath(landau.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, landau, landau.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import sys, threading, landau, landau.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "'concurrent.futures' in sys.modules, 'logging' in sys.modules, "
+            "threading.active_count())")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "[] False False 1"

@@ -1,12 +1,18 @@
 """Convolution coefficients: FFT vs direct, structure, sup norms."""
 
+import os
+import signal
+import sys
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from landau.coefficients import (compute_coefficients, coefficient_sup_norms,
-                                 kernel_tables)
+import landau.coefficients
+from landau.coefficients import (coefficient_pass, compute_coefficients,
+                                 coefficient_sup_norms, kernel_tables)
 from landau.errors import NegativeInput
 from landau.kernel import KernelParams
 from landau.phase_state import DistributionField, Grid, bracket
@@ -144,6 +150,74 @@ def test_negative_input_gate():
     # round-off level negatives are clipped silently
     vals[0, 0] = -1e-16
     compute_coefficients(DistributionField(0.0, vals, g), p)
+
+
+def test_pass_checks_the_sign_before_any_block():
+    g = Grid(1, 2, 20, 8, 10.0, 1.0)
+    p = KernelParams(-1.0, 2)
+    vals = np.ones(g.shape)
+    vals[17, 3, 4] = -1e-3
+    seen = []
+    with pytest.raises(NegativeInput):
+        coefficient_pass(DistributionField(0.0, vals, g), p, "ac", lambda cells, c: seen.append(cells))
+    assert seen == []
+
+
+def test_pass_hands_each_block_its_requested_tables():
+    g = Grid(1, 2, 20, 8, 10.0, 2.0)
+    p = KernelParams(-1.0, 2)
+    f = DistributionField(0.0, np.random.default_rng(12).random(g.shape), g)
+    full = compute_coefficients(f, p)
+    a01 = full.a_bar[0][1].reshape(20, 8, 8)
+    c = full.c_bar.reshape(20, 8, 8)
+
+    def check(cells, coeffs):
+        assert coeffs.b_bar is None
+        return (cells, np.array_equal(coeffs.a_bar[1][0], a01[cells])
+                and np.array_equal(coeffs.c_bar, c[cells]))
+
+    results = coefficient_pass(f, p, "ac", check)
+    assert [cells for cells, _ in results] == [slice(0, 8), slice(8, 16), slice(16, 24)]
+    assert all(ok for _, ok in results)
+
+
+def test_pass_is_bitwise_the_same_on_any_number_of_threads(monkeypatch):
+    # more threads than cores, switching often, each writing its own cells
+    g = Grid(2, 2, 9, 12, 10.0, 3.0)
+    p = KernelParams(-1.0, 2)
+    f = DistributionField(0.0, np.random.default_rng(13).random(g.shape), g)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 7):
+            with ThreadPoolExecutor(threads) as pool:
+                monkeypatch.setattr(landau.coefficients, "_POOL", pool)
+                results.append(compute_coefficients(f, p))
+    finally:
+        sys.setswitchinterval(interval)
+    one, many = results
+    for name in ("a_bar", "b_bar", "c_bar"):
+        assert np.array_equal(np.array(getattr(one, name)), np.array(getattr(many, name)))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_makes_its_own_pool():
+    # the child inherits the parent's pool object but none of its threads
+    g = Grid(1, 2, 20, 8, 10.0, 2.0)
+    p = KernelParams(-1.0, 2)
+    f = DistributionField(0.0, np.random.default_rng(14).random(g.shape), g)
+    want = compute_coefficients(f, p).c_bar
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0 if np.array_equal(compute_coefficients(f, p).c_bar, want) else 3)
+    deadline = time.monotonic() + 60.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_point_mass_reproduces_kernel_table():

@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 
 import landau.diagnostics
-from landau.coefficients import compute_coefficients
-from landau.collision import apply_collision_nonconservative
+from landau.coefficients import coefficient_sup_norms, compute_coefficients
+from landau.collision import apply_collision_diffusion, apply_collision_nonconservative
+from landau.kernel import KernelParams
 from landau.config import SimulationConfig, initial_data
 from landau.diagnostics import (ENormAccumulator, apply_derivatives,
-                                fit_decay_rate, hierarchy_params,
+                                fit_decay_rate, hierarchy_params, make_record,
                                 null_structure_gain, sharp_cauchy_diff,
                                 velocity_moments, z_norm)
 from landau.errors import (GammaOutOfRange, GridMismatch, InsufficientPoints,
                            NonPositiveValue)
 from landau.phase_state import DistributionField, Grid, bracket
 from landau.stepper import run
+from landau.transport import pullback_sharp
 
 
 def test_hierarchy_gamma_minus_one():
@@ -164,6 +166,25 @@ def test_record_values_match_their_formulas():
     assert art.records[0].E_norms["abs_Lt2"] == 0.0
     lt2 = math.sqrt(0.5 * 0.25 * sum(integrands))
     assert art.records[1].E_norms["abs_Lt2"] == pytest.approx(lt2, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("d_x, d_v", [(0, 2), (1, 2), (2, 2), (1, 3)])
+def test_record_null_term_and_sups_are_the_full_field_ones(d_x, d_v):
+    # the record takes them block by block; 20 and 25 cells end in a partial block
+    n_x = {0: 1, 1: 20, 2: 5}[d_x]
+    g = Grid(d_x, d_v, n_x, 12 if d_v == 2 else 6, 30.0, 3.0)
+    p = KernelParams(-1.3, d_v)
+    vals = np.exp(-g.v_squared()) * np.random.default_rng(20 * d_x + d_v).random(g.shape)
+    f = DistributionField(0.75, vals, g)
+    rec = make_record(f, p, 0.2, pullback_sharp(f), ENormAccumulator(), 0.0)
+    coeffs = compute_coefficients(f, p)
+    vb = bracket(g.v_squared())
+    sups = coefficient_sup_norms(coeffs, p.gamma, vb, bracket(g.x_minus_tv_squared(f.time)))
+    diffusion = apply_collision_diffusion(vals, coeffs, g)
+    assert rec.null_term_sup == float(np.max(np.abs(diffusion) / vb ** (2.0 + p.gamma)))
+    assert rec.a_bar_plain_sup == sups["plain"]
+    assert rec.a_bar_weighted_sup == sups["weighted_down"]
+    assert rec.c_bar_sup == sups["c_sup"]
 
 
 def test_record_takes_each_weight_and_derivative_once(monkeypatch):

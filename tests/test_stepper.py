@@ -1,17 +1,22 @@
 """Strang-split integration: conservation, clipping, run orchestration."""
 
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from landau.coefficients import CELL_BLOCK, compute_coefficients, distinct_a_bar, kernel_tables
+from landau.collision import apply_collision_divergence
 from landau.config import SimulationConfig, initial_data
 from landau.diagnostics import conserved_moments
-from landau.errors import CflViolation
+from landau.errors import CflViolation, NanDetected, NegativeInput
 from landau.kernel import KernelParams
 from landau.phase_state import DistributionField, Grid
 import landau.stepper
-from landau.stepper import RunState, advance, collision_substep, run, strang_step
+from landau.stepper import (RunState, _collision_dt, _collision_rhs, advance, collision_substep,
+                            run, strang_step)
 from landau.transport import pullback_sharp
 
 
@@ -67,6 +72,67 @@ def test_subcycle_cap_raises(monkeypatch):
     monkeypatch.setattr(landau.stepper, "MAX_SUBCYCLES", 3)
     with pytest.raises(CflViolation):
         collision_substep(f, 10.0, KernelParams(-1.0, 2), 0.5, RunState())
+
+
+@pytest.mark.parametrize("d_x, d_v", [(0, 2), (1, 2), (2, 2), (0, 3), (1, 3), (2, 3)])
+def test_blocked_rhs_is_the_full_field_operator(d_x, d_v):
+    # 20 (d_x = 1) and 25 (d_x = 2) cells leave a partial last block
+    n_x = {0: 1, 1: 20, 2: 5}[d_x]
+    g = Grid(d_x, d_v, n_x, 12 if d_v == 2 else 6, 30.0, 3.0)
+    p = KernelParams(-1.0 if d_v == 2 else -0.7, d_v)
+    vals = np.exp(-g.v_squared()) * np.random.default_rng(10 * d_x + d_v).random(g.shape)
+    f = DistributionField(0.0, vals, g)
+    rhs, maxima = _collision_rhs(vals, g, p, with_c=True)
+    coeffs = compute_coefficients(f, p)
+    assert np.array_equal(rhs, apply_collision_divergence(vals, coeffs, g))
+    amax = float(np.max([np.max(np.abs(comp)) for comp in distinct_a_bar(coeffs)]))
+    cmax = float(np.max(np.abs(coeffs.c_bar)))
+    assert tuple(np.max(maxima, axis=0)) == (amax, cmax)
+    # the dt of the full fields: min of the diffusion and the reaction limits
+    want = min(0.5 * g.dv ** 2 / (2.0 * d_v * amax), 0.5 / cmax)
+    assert _collision_dt(*np.max(maxima, axis=0), g, 0.5) == want
+    rhs_ab, maxima_ab = _collision_rhs(vals, g, p)
+    assert np.array_equal(rhs_ab, rhs)
+    assert maxima_ab == [None] * len(maxima)
+
+
+def test_collision_substep_peak_is_a_few_fields():
+    # the stages build no full-field coefficients; a first stage that holds
+    # all six of them next to the operator's temporaries peaks at 22 fields
+    g = Grid(1, 2, 256, 16, 900.0, 6.0)
+    p = KernelParams(-1.0, 2)
+    kernel_tables(g, p)
+    vals = np.exp(-g.v_squared() / 2.0) * (1.0 + np.random.default_rng(11).random(g.shape))
+    f = DistributionField(0.0, vals, g)
+    collision_substep(f, 0.02, p, 0.5, RunState())  # the pool's threads exist
+    threads = min(len(os.sched_getaffinity(0)), -(-g.n_x // CELL_BLOCK))
+    block = CELL_BLOCK * (2 * g.n_v) ** 2 * 16  # one padded complex spectrum
+    tracemalloc.start()
+    try:
+        collision_substep(f, 0.02, p, 0.5, RunState())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * vals.nbytes + 8 * threads * block
+
+
+def test_collision_substep_refuses_negative_input():
+    g = Grid(1, 2, 20, 8, 10.0, 2.0)
+    vals = np.ones(g.shape)
+    vals[13, 2, 5] = -1e-3
+    with pytest.raises(NegativeInput):
+        collision_substep(DistributionField(0.0, vals, g), 0.1, KernelParams(-1.0, 2), 0.5,
+                          RunState())
+
+
+def test_nonfinite_transport_raises():
+    cfg = _small_cfg(n_x=16, n_v=12, L_x=160.0)
+    f = initial_data(cfg)
+    f.values[3, 4, 5] = np.nan
+    with pytest.raises(NanDetected, match="transport"):
+        strang_step(f, 0.25, cfg.kernel_params(), 0.5, RunState())
+    with pytest.raises(NanDetected, match="transport"):
+        next(advance(cfg, f, cfg.kernel_params(), RunState(), transport_only=True))
 
 
 def _outputs(cfg, f):
