@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import parse_config
 from .diagnostics import fit_decay_rate, null_structure_gain
-from .errors import CheckpointInvalid, ConfigInvalid, LandauError
+from .errors import CheckpointInvalid, ConfigInvalid, InsufficientPoints, LandauError, ParseError
 from .maxwellian import fit_maxwellian
 from .phase_state import DistributionField, Grid
 from .stepper import run as run_sim
@@ -88,12 +88,20 @@ def write_ndjson(path, records):
 
 
 def read_ndjson(path):
+    """The JSON objects of the file's nonblank lines; ParseError names a line that is not one."""
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(number, f"{path}: not JSON: {exc.msg}") from exc
+            if not isinstance(row, dict):
+                raise ParseError(number, f"{path}: not a JSON object")
+            rows.append(row)
     return rows
 
 
@@ -163,6 +171,8 @@ def cmd_oracle(args):
 
 def cmd_fit_report(args):
     rows = read_ndjson(args.ndjson)
+    if not rows:
+        raise InsufficientPoints(f"{args.ndjson} holds no records")
     cfg = parse_config(args.config) if args.config else None
     d_x = cfg.d_x if cfg else args.d_x
     window = cfg.fit_window if cfg else (5.0, rows[-1]["t"])

@@ -8,7 +8,6 @@ kernel is tabulated once per (velocity grid, gamma) as exact cell averages
 because index differences never wrap.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,11 +15,21 @@ import numpy as np
 from .errors import NegativeInput
 from .kernel import KernelParams, cell_averaged_kernel, kernel_c, kernel_divergence, kernel_matrix, SINGULAR_CELL_RADIUS
 from .phase_state import DistributionField, Grid
+from .threads import pool
 
 _TABLE_CACHE = {}
-# Spatial cells per FFT pass.  A block's spectra stay in cache: at d_v = 2,
-# n_v = 64 one pass over 320 cells took 1.6x as long as blocks of 8.
-CELL_BLOCK = 8
+# Velocity points per block of the coefficient pass.  A block's spectra stay
+# in cache, and fewer blocks make fewer of the consumers' numpy calls, which
+# hold the GIL.  The record's pass on 2 threads (medians of 7): at d_v = 2,
+# n_v = 64, 71, 66, 86 and 95 ms in blocks of 4, 8, 16 and 32 cells; at
+# n_v = 32, 718, 442, 427 and 377 ms.  2^15 points are 8 cells at n_v = 64
+# and 32 cells at n_v = 32.
+BLOCK_POINTS = 2 ** 15
+
+
+def block_cells(grid: Grid):
+    """Spatial cells per block of the coefficient pass: BLOCK_POINTS velocity points, at least 1."""
+    return max(1, BLOCK_POINTS // grid.n_v ** grid.d_v)
 
 
 def _sym_pairs(d):
@@ -147,55 +156,30 @@ def _convolve_block(fv, fft_tables, names, grid: Grid):
     return out
 
 
-_POOL = None
-
-
-def _pool():
-    """The worker threads, one per CPU the process may run on, made at first use.
-
-    numpy's FFTs and ufuncs release the GIL, so blocks of cells run in parallel.
-    """
-    global _POOL
-    if _POOL is None:
-        from concurrent.futures import ThreadPoolExecutor
-        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count())
-        _POOL = ThreadPoolExecutor(len(cpus))
-    return _POOL
-
-
-def _forget_pool():
-    global _POOL
-    _POOL = None
-
-
-# A forked child has none of its parent's threads, so it makes its own pool.
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def coefficient_pass(f: DistributionField, p: KernelParams, tables, consume):
-    """consume(cells, coeffs) on every block of CELL_BLOCK spatial cells of f.
+    """consume(cells, coeffs) on every block of block_cells(f.grid) spatial cells of f.
 
     tables names the kernel tables to convolve: "a" and any of "b" and "c".
     cells is a slice of the cell axis of cell_view(f.values, grid), and coeffs
     holds the block's convolution outputs in that layout, with b_bar or c_bar
-    None when not asked for.  The blocks run on a pool of threads, each
+    None when not asked for.  The blocks run on the pool of threads, each
     consumer on the thread of its block, so a consumer writes only to its own
     cells.  Returns the consumers' results in block order.  Each block's
     arithmetic does not depend on the others, so neither do the results on
-    the number of threads.
+    the number of threads or on the block size.
     """
     grid = f.grid
     _, fft_tables = _checked_tables(f, p)
     names = _table_names(grid.d_v, tables)
     fv = cell_view(f.values, grid)
+    size = block_cells(grid)
 
     def block(lo):
-        cells = slice(lo, lo + CELL_BLOCK)
+        cells = slice(lo, lo + size)
         comp = _convolve_block(np.maximum(fv[cells], 0.0), fft_tables, names, grid)
         return consume(cells, _fields(comp, grid.d_v))
 
-    return list(_pool().map(block, range(0, fv.shape[0], CELL_BLOCK)))
+    return list(pool().map(block, range(0, fv.shape[0], size)))
 
 
 def compute_coefficients(f: DistributionField, p: KernelParams, method="fft", with_c=True):
@@ -252,7 +236,8 @@ def coefficient_sup_norms(coeffs: CoefficientFields, gamma, vb, xtb):
     weighted_down:  sup <x-tv>^-min{1,2+gamma} <v>^-max{0,1+gamma} max_ij |a_bar|
     c_sup:          sup |c_bar|
 
-    vb = <v> and xtb = <x-tv> at the field's time, both over the grid's shape.
+    vb = <v> and xtb = <x-tv> at the field's time, each broadcasting over the
+    coefficients' shape.
 
     <x-tv> pairs only the first d_x velocity axes with x.  The null structure
     a(z) z = 0 makes weighted_down decay faster than plain by the predicted

@@ -96,6 +96,5 @@ def apply_collision_nonconservative(f_slice, coeffs: CoefficientFields, grid: Gr
 
 def h_functional(f: DistributionField):
     """H = sum f log f dx dv with the convention 0 log 0 = 0."""
-    vals = f.values
-    pos = vals > 0.0
-    return float(np.sum(vals[pos] * np.log(vals[pos]))) * f.grid.cell_volume
+    pos = f.values[f.values > 0.0]
+    return float(np.sum(pos * np.log(pos))) * f.grid.cell_volume

@@ -231,8 +231,9 @@ def make_record(f: DistributionField, p, d0, sharp0: DistributionField, acc, cli
 
     p is the kernel, d0 the Gaussian weight's constant, sharp0 the f-sharp the
     record is compared with, and acc the ENormAccumulator of the run, which
-    this record adds its E-norm integrand to.  <v> and <x - t v> are built once
-    and each derivative is taken once.  The null term and the coefficient sups
+    this record adds its E-norm integrand to.  <v> is built once on the
+    velocity axes, <x - t v> once over the field, and each derivative and
+    weight power is taken once.  The null term and the coefficient sups
     come from one coefficient pass over the a and c tables, block by block, so
     no full-field coefficient is built.  A zero field has zero coefficients,
     so its sups and null term are 0.
@@ -244,13 +245,15 @@ def make_record(f: DistributionField, p, d0, sharp0: DistributionField, acc, cli
     diff0 = sharp_cauchy_diff(pullback_sharp(f), sharp0)
     vb = bracket(grid.v_squared())
     xtb = bracket(grid.x_minus_tv_squared(f.time))
-    fv, vbc, xtbc = (cell_view(arr, grid) for arr in (f.values, vb, xtb))
+    fv, xtbc = cell_view(f.values, grid), cell_view(xtb, grid)
+    vbv = vb.reshape((grid.n_v,) * grid.d_v)  # broadcasts over a block of cells
+    null_weight = vbv ** (2.0 + p.gamma)
 
     def sups(cells, coeffs):
         # the null term a_bar_ij D_ij f and the coefficient sups of one block
         diffusion = apply_collision_diffusion(fv[cells], coeffs, grid)
-        out = coefficient_sup_norms(coeffs, p.gamma, vbc[cells], xtbc[cells])
-        return (np.max(np.abs(diffusion) / vbc[cells] ** (2.0 + p.gamma)),
+        out = coefficient_sup_norms(coeffs, p.gamma, vbv, xtbc[cells])
+        return (np.max(np.abs(diffusion) / null_weight),
                 out["plain"], out["weighted_down"], out["c_sup"])
 
     null_term, plain, weighted, c_sup = (
@@ -259,10 +262,13 @@ def make_record(f: DistributionField, p, d0, sharp0: DistributionField, acc, cli
     g = to_g(f, WeightSpec.from_gamma(p.gamma, d0))
     z_norms = {}
     e_norms = {}
+    power = None
     for key, alpha, beta, sigma in RECORD_ORDERS:
         k = sum(alpha) + sum(beta) + sum(sigma)
         dg = apply_derivatives(g, alpha, beta, sigma)
-        xw = xtb ** (hp.M_max + 5 - sum(sigma))
+        if power != hp.M_max + 5 - sum(sigma):  # the orders come sorted by |sigma|
+            power = hp.M_max + 5 - sum(sigma)
+            xw = xtb ** power
         z_norms[key] = z_norm(dg, vb, xw, f.time, sum(beta), hp.zeta[k], hp.theta[k])
         e_norms[key] = e_norm(dg, xw, f.time, sum(beta), grid.cell_volume)
         if key == "abs":
@@ -296,6 +302,7 @@ def sharp_cauchy_diff(f_sharp_1: DistributionField, f_sharp_2: DistributionField
         raise GridMismatch("sharp fields live on different grids")
     grid = f_sharp_1.grid
     vb = bracket(grid.v_squared())
-    xb = bracket(grid.x_minus_tv_squared(0.0))  # plain <x> at t = 0
+    # plain <x> on the spatial axes: the terms of x_minus_tv_squared(0.0)
+    xb = bracket(sum(grid.wrap_x(x) ** 2 for x in grid.x_mesh()))
     w = vb ** 2 * xb ** 2.0
     return float(np.max(w * np.abs(f_sharp_1.values - f_sharp_2.values)))

@@ -88,9 +88,9 @@ class Grid:
         return out
 
     def v_squared(self):
-        vs = self.v_mesh()
-        tot = np.zeros(self.shape)
-        for vv in vs:
+        """|v|^2 of shape (1,)*d_x + (n_v,)*d_v, which broadcasts over the field."""
+        tot = np.zeros((1,) * self.d_x + (self.n_v,) * self.d_v)
+        for vv in self.v_mesh():
             tot = tot + vv ** 2
         return tot
 
@@ -159,7 +159,7 @@ def bracket(u_squared):
 
 
 def gaussian_weight_field(f: DistributionField, spec: WeightSpec):
-    """e^{d(t)<v>^2} sampled on the grid of f, broadcastable over its shape."""
+    """e^{d(t)<v>^2} on the velocity axes of f's grid, shaped as Grid.v_squared."""
     vb2 = 1.0 + f.grid.v_squared()
     expo = gaussian_exponent(f.time, spec) * vb2
     if np.max(expo) > 700.0:

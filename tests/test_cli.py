@@ -222,9 +222,23 @@ def test_cli_error_exit_code(tmp_path):
     assert main(["run", "--config", missing, "--quiet"]) == 1
 
 
+@pytest.mark.parametrize("text, error", [
+    ("", "InsufficientPoints: "),
+    ("\n\n", "InsufficientPoints: "),
+    ('{"t": 0.0}\n{"t": 1.0\n', "ParseError: line 2: "),
+    ('{"t": 0.0}\n\n[1, 2]\n', "ParseError: line 3: "),
+])
+def test_fit_report_refuses_an_empty_or_malformed_stream(tmp_path, capsys, text, error):
+    path = tmp_path / "diag.ndjson"
+    path.write_text(text)
+    assert main(["fit-report", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}") and str(path) in err
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is needed only by landau.oracles, which `landau oracle` imports
-    # lazily; the coefficient pass makes its thread pool at its first call
+    # lazily; the worker threads are made at their first use
     import landau
     src = os.path.dirname(os.path.dirname(os.path.abspath(landau.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

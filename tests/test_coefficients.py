@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import landau.coefficients
-from landau.coefficients import (coefficient_pass, compute_coefficients,
+import landau.threads
+from landau.coefficients import (block_cells, coefficient_pass, compute_coefficients,
                                  coefficient_sup_norms, kernel_tables)
 from landau.errors import NegativeInput
 from landau.kernel import KernelParams
@@ -91,8 +92,9 @@ def test_with_c_false_skips_only_c_bar():
 
 
 def test_components_are_shared_contiguous_field_arrays():
-    # one array per distinct component, of the field's shape, with no tensor copy
-    g = Grid(2, 2, 24, 16, 10.0, 3.0)
+    # one array per distinct component, of the field's shape, with no tensor
+    # copy; 32 blocks, so that the blocks' temporaries weigh less than a field
+    g = Grid(2, 2, 64, 16, 10.0, 3.0)
     p = KernelParams(-1.0, 2)
     f = DistributionField(0.0, np.random.default_rng(9).random(g.shape), g)
     kernel_tables(g, p)
@@ -164,12 +166,12 @@ def test_pass_checks_the_sign_before_any_block():
 
 
 def test_pass_hands_each_block_its_requested_tables():
-    g = Grid(1, 2, 20, 8, 10.0, 2.0)
+    g = Grid(1, 2, 80, 32, 10.0, 2.0)
     p = KernelParams(-1.0, 2)
     f = DistributionField(0.0, np.random.default_rng(12).random(g.shape), g)
     full = compute_coefficients(f, p)
-    a01 = full.a_bar[0][1].reshape(20, 8, 8)
-    c = full.c_bar.reshape(20, 8, 8)
+    a01 = full.a_bar[0][1].reshape(80, 32, 32)
+    c = full.c_bar.reshape(80, 32, 32)
 
     def check(cells, coeffs):
         assert coeffs.b_bar is None
@@ -177,13 +179,27 @@ def test_pass_hands_each_block_its_requested_tables():
                 and np.array_equal(coeffs.c_bar, c[cells]))
 
     results = coefficient_pass(f, p, "ac", check)
-    assert [cells for cells, _ in results] == [slice(0, 8), slice(8, 16), slice(16, 24)]
+    size = block_cells(g)  # 2^15 velocity points: 32 cells, the last block partial
+    assert [cells for cells, _ in results] == [slice(lo, lo + size) for lo in range(0, 80, size)]
+    assert len(results) == 3
     assert all(ok for _, ok in results)
 
 
+def test_pass_is_bitwise_the_same_with_one_cell_blocks(monkeypatch):
+    g = Grid(1, 2, 40, 32, 10.0, 3.0)
+    p = KernelParams(-1.0, 2)
+    f = DistributionField(0.0, np.random.default_rng(15).random(g.shape), g)
+    rule = compute_coefficients(f, p)
+    monkeypatch.setattr(landau.coefficients, "BLOCK_POINTS", 1)
+    assert block_cells(g) == 1
+    cells = compute_coefficients(f, p)
+    for name in ("a_bar", "b_bar", "c_bar"):
+        assert np.array_equal(np.array(getattr(rule, name)), np.array(getattr(cells, name)))
+
+
 def test_pass_is_bitwise_the_same_on_any_number_of_threads(monkeypatch):
-    # more threads than cores, switching often, each writing its own cells
-    g = Grid(2, 2, 9, 12, 10.0, 3.0)
+    # more threads than cores, switching often, each writing its own cells of 8 blocks
+    g = Grid(2, 2, 16, 32, 10.0, 3.0)
     p = KernelParams(-1.0, 2)
     f = DistributionField(0.0, np.random.default_rng(13).random(g.shape), g)
     results = []
@@ -192,7 +208,7 @@ def test_pass_is_bitwise_the_same_on_any_number_of_threads(monkeypatch):
     try:
         for threads in (1, 7):
             with ThreadPoolExecutor(threads) as pool:
-                monkeypatch.setattr(landau.coefficients, "_POOL", pool)
+                monkeypatch.setattr(landau.threads, "_POOL", pool)
                 results.append(compute_coefficients(f, p))
     finally:
         sys.setswitchinterval(interval)

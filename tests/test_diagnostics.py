@@ -5,18 +5,19 @@ import math
 import numpy as np
 import pytest
 
+import landau.coefficients
 import landau.diagnostics
 from landau.coefficients import coefficient_sup_norms, compute_coefficients
 from landau.collision import apply_collision_diffusion, apply_collision_nonconservative
 from landau.kernel import KernelParams
 from landau.config import SimulationConfig, initial_data
-from landau.diagnostics import (ENormAccumulator, apply_derivatives,
+from landau.diagnostics import (ENormAccumulator, apply_derivatives, e_norm,
                                 fit_decay_rate, hierarchy_params, make_record,
                                 null_structure_gain, sharp_cauchy_diff,
                                 velocity_moments, z_norm)
 from landau.errors import (GammaOutOfRange, GridMismatch, InsufficientPoints,
                            NonPositiveValue)
-from landau.phase_state import DistributionField, Grid, bracket
+from landau.phase_state import DistributionField, Grid, WeightSpec, bracket, gaussian_exponent
 from landau.stepper import run
 from landau.transport import pullback_sharp
 
@@ -169,10 +170,12 @@ def test_record_values_match_their_formulas():
 
 
 @pytest.mark.parametrize("d_x, d_v", [(0, 2), (1, 2), (2, 2), (1, 3)])
-def test_record_null_term_and_sups_are_the_full_field_ones(d_x, d_v):
-    # the record takes them block by block; 20 and 25 cells end in a partial block
+def test_record_null_term_and_sups_are_the_full_field_ones(d_x, d_v, monkeypatch):
+    # the record takes them block by block; in blocks of 8 cells, 20 and 25
+    # cells end in a partial block
     n_x = {0: 1, 1: 20, 2: 5}[d_x]
     g = Grid(d_x, d_v, n_x, 12 if d_v == 2 else 6, 30.0, 3.0)
+    monkeypatch.setattr(landau.coefficients, "BLOCK_POINTS", 8 * g.n_v ** d_v)
     p = KernelParams(-1.3, d_v)
     vals = np.exp(-g.v_squared()) * np.random.default_rng(20 * d_x + d_v).random(g.shape)
     f = DistributionField(0.75, vals, g)
@@ -185,6 +188,41 @@ def test_record_null_term_and_sups_are_the_full_field_ones(d_x, d_v):
     assert rec.a_bar_plain_sup == sups["plain"]
     assert rec.a_bar_weighted_sup == sups["weighted_down"]
     assert rec.c_bar_sup == sups["c_sup"]
+
+
+@pytest.mark.parametrize("d_x, d_v", [(0, 2), (1, 2), (2, 2), (0, 3), (1, 3), (2, 3)])
+def test_record_norms_are_those_of_full_field_weights(d_x, d_v):
+    # the record builds <v>, the Gaussian weight and <x> on their own axes
+    g = Grid(d_x, d_v, {0: 1, 1: 9, 2: 5}[d_x], 12 if d_v == 2 else 6, 30.0, 3.0)
+    p = KernelParams(-1.3, d_v)
+    rng = np.random.default_rng(30 * d_x + d_v)
+    vals = np.exp(-g.v_squared()) * rng.random(g.shape)
+    f = DistributionField(0.75, vals, g)
+    sharp0 = DistributionField(0.0, np.exp(-g.v_squared()) * rng.random(g.shape), g)
+    acc = ENormAccumulator()
+    acc.add(0.0, 2.0)
+    rec = make_record(f, p, 0.2, sharp0, acc, 0.0)
+
+    hp = hierarchy_params(p.gamma)
+    vsq = np.broadcast_to(g.v_squared(), g.shape).copy()
+    vb, xtb = bracket(vsq), bracket(g.x_minus_tv_squared(f.time))
+    d_t = gaussian_exponent(f.time, WeightSpec.from_gamma(p.gamma, 0.2))
+    weighted = DistributionField(f.time, vals * np.exp(d_t * (1.0 + vsq)), g)
+    for key, (alpha, beta, sigma) in RECORD_KEYS.items():
+        k, nb = sum(beta) + sum(sigma), sum(beta)
+        dg = apply_derivatives(weighted, alpha, beta, sigma)
+        xw = xtb ** (hp.M_max + 5 - sum(sigma))
+        assert rec.Z_norms[key] == z_norm(dg, vb, xw, f.time, nb, hp.zeta[k], hp.theta[k])
+        assert rec.E_norms[key] == e_norm(dg, xw, f.time, nb, g.cell_volume)
+        if key == "abs":
+            want = ENormAccumulator()
+            want.add(0.0, 2.0)
+            want.add(f.time, (1.0 + f.time) ** (-1.0 - hp.delta)
+                     * float(np.sum((vb * xw * dg) ** 2)) * g.cell_volume)
+            assert rec.E_norms["abs_Lt2"] == want.value
+    xb = bracket(g.x_minus_tv_squared(0.0))
+    diff = np.abs(pullback_sharp(f).values - sharp0.values)
+    assert rec.sharp_diff_vs_t0 == float(np.max(vb ** 2 * xb ** 2.0 * diff)) > 0.0
 
 
 def test_record_takes_each_weight_and_derivative_once(monkeypatch):

@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from landau.coefficients import CELL_BLOCK, compute_coefficients, distinct_a_bar, kernel_tables
+import landau.coefficients
+from landau.coefficients import block_cells, compute_coefficients, distinct_a_bar, kernel_tables
 from landau.collision import apply_collision_divergence
 from landau.config import SimulationConfig, initial_data
 from landau.diagnostics import conserved_moments
@@ -75,10 +76,11 @@ def test_subcycle_cap_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("d_x, d_v", [(0, 2), (1, 2), (2, 2), (0, 3), (1, 3), (2, 3)])
-def test_blocked_rhs_is_the_full_field_operator(d_x, d_v):
-    # 20 (d_x = 1) and 25 (d_x = 2) cells leave a partial last block
+def test_blocked_rhs_is_the_full_field_operator(d_x, d_v, monkeypatch):
+    # in blocks of 8 cells, 20 (d_x = 1) and 25 (d_x = 2) cells leave a partial last block
     n_x = {0: 1, 1: 20, 2: 5}[d_x]
     g = Grid(d_x, d_v, n_x, 12 if d_v == 2 else 6, 30.0, 3.0)
+    monkeypatch.setattr(landau.coefficients, "BLOCK_POINTS", 8 * g.n_v ** d_v)
     p = KernelParams(-1.0 if d_v == 2 else -0.7, d_v)
     vals = np.exp(-g.v_squared()) * np.random.default_rng(10 * d_x + d_v).random(g.shape)
     f = DistributionField(0.0, vals, g)
@@ -96,23 +98,36 @@ def test_blocked_rhs_is_the_full_field_operator(d_x, d_v):
     assert maxima_ab == [None] * len(maxima)
 
 
-def test_collision_substep_peak_is_a_few_fields():
+def test_collision_substep_peak_is_a_few_fields(monkeypatch):
     # the stages build no full-field coefficients; a first stage that holds
-    # all six of them next to the operator's temporaries peaks at 22 fields
-    g = Grid(1, 2, 256, 16, 900.0, 6.0)
+    # all six of them next to the operator's temporaries peaks at 22 fields.
+    # 32 blocks, so that 8 block spectra per thread weigh 4 fields on 2 threads
+    n_v = 16
+    g = Grid(1, 2, 32 * landau.coefficients.BLOCK_POINTS // n_v ** 2, n_v, 900.0, 6.0)
     p = KernelParams(-1.0, 2)
     kernel_tables(g, p)
     vals = np.exp(-g.v_squared() / 2.0) * (1.0 + np.random.default_rng(11).random(g.shape))
     f = DistributionField(0.0, vals, g)
-    collision_substep(f, 0.02, p, 0.5, RunState())  # the pool's threads exist
-    threads = min(len(os.sched_getaffinity(0)), -(-g.n_x // CELL_BLOCK))
-    block = CELL_BLOCK * (2 * g.n_v) ** 2 * 16  # one padded complex spectrum
+    # 1.5 CFL steps make two RK2 sub-cycles, so the later sub-cycles' first
+    # stage is under the bound too: four passes
+    _, maxima = _collision_rhs(vals, g, p, with_c=True)  # the pool's threads exist
+    dt = 1.5 * _collision_dt(*np.max(maxima, axis=0), g, 0.5)
+    passes = []
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return _collision_rhs(*args, **kwargs)
+
+    monkeypatch.setattr(landau.stepper, "_collision_rhs", counted)
+    threads = min(len(os.sched_getaffinity(0)), -(-g.n_x // block_cells(g)))
+    block = block_cells(g) * (2 * g.n_v) ** 2 * 16  # one padded complex spectrum
     tracemalloc.start()
     try:
-        collision_substep(f, 0.02, p, 0.5, RunState())
+        collision_substep(f, dt, p, 0.5, RunState())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert len(passes) == 4
     assert peak <= 8 * vals.nbytes + 8 * threads * block
 
 

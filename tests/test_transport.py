@@ -1,10 +1,14 @@
 """Spectral free transport and the sharp pullback."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import landau.threads
 from landau.phase_state import DistributionField, Grid
 from landau.transport import free_solution, pullback_sharp, transport_shift
 
@@ -143,3 +147,32 @@ def test_shift_returns_an_owned_contiguous_real_array():
     assert out.values.dtype == np.float64
     assert out.values.flags.c_contiguous
     assert out.values.flags.owndata
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.0])
+def test_zero_shift_is_an_exact_copy(dt):
+    g = Grid(2, 2, 8, 6, 16.0, 2.0)
+    f = DistributionField(0.3, np.random.default_rng(3).random(g.shape), g)
+    out = transport_shift(f, dt)
+    assert out.time == 0.3
+    assert np.array_equal(out.values, f.values)
+    assert out.values.flags.owndata and not np.shares_memory(out.values, f.values)
+
+
+@pytest.mark.parametrize("d_x, d_v", [(1, 2), (2, 2), (2, 3)])
+def test_shift_is_bitwise_the_same_on_any_number_of_threads(d_x, d_v, monkeypatch):
+    # 4 chunks of the first velocity axis on 1 thread, one row each on 7
+    g = Grid(d_x, d_v, 10, 12 if d_v == 2 else 8, 16.0, 2.0)
+    f = DistributionField(0.0, np.random.default_rng(4).random(g.shape), g)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 7):
+            with ThreadPoolExecutor(threads) as pool:
+                monkeypatch.setattr(landau.threads, "_POOL", pool)
+                monkeypatch.setattr(landau.threads, "_THREADS", threads)
+                results.append(transport_shift(f, 0.83).values)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(*results)
