@@ -18,6 +18,10 @@ from .phase_state import DistributionField, Grid
 from .threads import pool
 
 _TABLE_CACHE = {}
+# Values below CLIP_REL_TOL of a field's peak are round-off: negatives that
+# small pass the sign check and the clip, and the record's coefficient pass
+# skips the cells that hold nothing above it.
+CLIP_REL_TOL = 1e-14
 # Velocity points per block of the coefficient pass.  A block's spectra stay
 # in cache, and fewer blocks make fewer of the consumers' numpy calls, which
 # hold the GIL.  The record's pass on 2 threads (medians of 7): at d_v = 2,
@@ -124,7 +128,7 @@ def _checked_tables(f: DistributionField, p: KernelParams):
     if f.grid.d_v != p.d:
         raise ValueError("grid velocity dimension and kernel dimension differ")
     peak = float(np.max(f.values, initial=0.0))
-    if peak > 0.0 and float(np.min(f.values)) < -1e-14 * peak:
+    if peak > 0.0 and float(np.min(f.values)) < -CLIP_REL_TOL * peak:
         raise NegativeInput("distribution has negative values beyond round-off")
     return kernel_tables(f.grid, p)
 
@@ -156,17 +160,20 @@ def _convolve_block(fv, fft_tables, names, grid: Grid):
     return out
 
 
-def coefficient_pass(f: DistributionField, p: KernelParams, tables, consume):
-    """consume(cells, coeffs) on every block of block_cells(f.grid) spatial cells of f.
+def coefficient_pass(f: DistributionField, p: KernelParams, tables, consume, cells=None):
+    """consume(block, coeffs) on every block of block_cells(f.grid) spatial cells of f.
 
     tables names the kernel tables to convolve: "a" and any of "b" and "c".
-    cells is a slice of the cell axis of cell_view(f.values, grid), and coeffs
-    holds the block's convolution outputs in that layout, with b_bar or c_bar
-    None when not asked for.  The blocks run on the pool of threads, each
-    consumer on the thread of its block, so a consumer writes only to its own
-    cells.  Returns the consumers' results in block order.  Each block's
-    arithmetic does not depend on the others, so neither do the results on
-    the number of threads or on the block size.
+    cells, an increasing index array of the cell axis of cell_view(f.values,
+    grid), picks the cells to visit, and None visits them all.  The blocks are
+    ranges of that list: block is an index array of cells, or with cells None a
+    slice of the cell axis.  coeffs holds the block's convolution outputs in
+    that layout, with b_bar or c_bar None when not asked for.  The blocks run
+    on the pool of threads, each consumer on the thread of its block, so a
+    consumer writes only to its own cells.  Returns the consumers' results in
+    block order.  Each cell's arithmetic does not depend on the others, so
+    neither do the results on the number of threads, the block size or the
+    cells visited.
     """
     grid = f.grid
     _, fft_tables = _checked_tables(f, p)
@@ -175,11 +182,12 @@ def coefficient_pass(f: DistributionField, p: KernelParams, tables, consume):
     size = block_cells(grid)
 
     def block(lo):
-        cells = slice(lo, lo + size)
-        comp = _convolve_block(np.maximum(fv[cells], 0.0), fft_tables, names, grid)
-        return consume(cells, _fields(comp, grid.d_v))
+        picked = slice(lo, lo + size) if cells is None else cells[lo:lo + size]
+        comp = _convolve_block(np.maximum(fv[picked], 0.0), fft_tables, names, grid)
+        return consume(picked, _fields(comp, grid.d_v))
 
-    return list(pool().map(block, range(0, fv.shape[0], size)))
+    count = fv.shape[0] if cells is None else len(cells)
+    return list(pool().map(block, range(0, count, size)))
 
 
 def compute_coefficients(f: DistributionField, p: KernelParams, method="fft", with_c=True):

@@ -94,7 +94,11 @@ def apply_collision_nonconservative(f_slice, coeffs: CoefficientFields, grid: Gr
     return apply_collision_diffusion(f, coeffs, grid) - coeffs.c_bar * f
 
 
-def h_functional(f: DistributionField):
-    """H = sum f log f dx dv with the convention 0 log 0 = 0."""
-    pos = f.values[f.values > 0.0]
+def h_functional(f: DistributionField, rows=slice(None)):
+    """H = sum f log f dx dv with the convention 0 log 0 = 0.
+
+    rows, a slice of the first spatial axis, restricts the sum to those rows.
+    """
+    vals = f.values[rows]
+    pos = vals[vals > 0.0]
     return float(np.sum(pos * np.log(pos))) * f.grid.cell_volume

@@ -12,15 +12,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import cell_view, coefficient_pass, coefficient_sup_norms
+from .coefficients import CLIP_REL_TOL, cell_view, coefficient_pass, coefficient_sup_norms
 from .collision import apply_collision_diffusion, h_functional
 from .errors import GammaOutOfRange, GridMismatch, InsufficientPoints, NonPositiveValue
-from .phase_state import DistributionField, WeightSpec, bracket, to_g
+from .phase_state import DistributionField, Grid, WeightSpec, bracket, gaussian_weight_field
+from .threads import pool
 from .transport import pullback_sharp
 
 # The record's derivatives d_x^alpha d_v^beta Y^sigma of g, each with its
-# NDJSON key: (key, alpha, beta, sigma).
+# NDJSON key: (key, alpha, beta, sigma).  None differentiates an x axis more
+# than once, or any x axis but the first, which record_slabs relies on.
 RECORD_ORDERS = (("abs", (), (), ()), ("ab1s", (), (1,), ()), ("abs1", (), (), (1,)))
+# Phase-space points per slab of the record's slab pass, rounded down to whole
+# rows of the first x axis, at least one row.  The size depends on the grid
+# alone, so the record does not depend on the number of threads.  A slab's
+# temporaries live in its worker thread's malloc arena, and larger slabs grow
+# the arenas past what a coefficient block needs: after 5 near_vacuum bench
+# rounds the process peaked at 89.0 MB RSS with slabs of 2^16 points and 94.7
+# MB with 2^17, and at 88.2 and 88.1 MB with one arena (MALLOC_ARENA_MAX=1).
+# On 2 threads (medians of 15 records at t = 0.5), 2^16 points took 414-479
+# ms against 381-422 ms on the free_stream bench grid, where a slab is one row
+# and its halo two more, and 65-73 ms against 70-80 ms on near_vacuum's.
+SLAB_POINTS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -103,23 +116,24 @@ def _diff(values, spacing, axis, order):
     return out
 
 
-def apply_derivatives(f: DistributionField, alpha, beta, sigma):
-    """d_x^alpha d_v^beta Y^sigma of a field, Y_a = t d_x_a + d_v_a.
+def apply_derivatives(values, grid: Grid, t, alpha, beta, sigma):
+    """d_x^alpha d_v^beta Y^sigma of values at time t, Y_a = t d_x_a + d_v_a.
 
-    alpha indexes spatial axes (length d_x), beta and sigma velocity axes
-    (length d_v); for an axis without a spatial partner, Y reduces to d_v.
+    values has the grid's shape, or is a slab of it: a range of rows of the
+    first spatial axis, whose first and last rows take one-sided differences
+    in x_1.  alpha indexes spatial axes (length d_x), beta and sigma velocity
+    axes (length d_v); for an axis without a spatial partner, Y reduces to d_v.
     Centered differences throughout.
     """
-    grid = f.grid
     alpha = tuple(alpha) + (0,) * (grid.d_x - len(tuple(alpha)))
     beta = tuple(beta) + (0,) * (grid.d_v - len(tuple(beta)))
     sigma = tuple(sigma) + (0,) * (grid.d_v - len(tuple(sigma)))
-    out = f.values
+    out = values
     for a, order in enumerate(sigma):
         for _ in range(order):
             term = _diff(out, grid.dv, grid.d_x + a, 1)
             if a < grid.d_x:
-                term = term + f.time * _diff(out, grid.dx, a, 1)
+                term = term + t * _diff(out, grid.dx, a, 1)
             out = term
     for a, order in enumerate(beta):
         if order:
@@ -144,7 +158,8 @@ def z_norm(dg, vb, xw, t, beta, zeta, theta):
 def e_norm(dg, xw, t, beta, cell_volume):
     """Fixed-time weighted L2 piece (1+T)^-|beta| ||<x-tv>^(M_max+5-|sigma|) D g||_L2.
 
-    Arguments as in z_norm.
+    Arguments as in z_norm.  On slabs of a field, the field's norm is the
+    math.hypot of the slabs' norms.
     """
     return (1.0 + t) ** (-beta) * math.sqrt(float(np.sum((xw * dg) ** 2)) * cell_volume)
 
@@ -226,58 +241,115 @@ def null_structure_gain(plain_series, weighted_series, window=None):
     return sp - sw
 
 
+def record_slabs(grid: Grid):
+    """(rows, halo, inner, cells) of each slab of the record's slab pass.
+
+    rows is a slice of the first spatial axis: SLAB_POINTS of phase space in
+    whole rows, the last slab partial.  halo widens rows by the rows that a
+    first difference in x_1 reads, np.gradient's one-sided stencil at the box
+    edges included, inner picks rows out of halo, and cells is rows as a slice
+    of the flat cell axis.  With d_x = 0, one slab holds the field.
+    """
+    if grid.d_x == 0:
+        return [(slice(None),) * 4]
+    n = grid.n_x
+    row_cells = n ** (grid.d_x - 1)
+    size = max(1, SLAB_POINTS // (row_cells * grid.n_v ** grid.d_v))
+    slabs = []
+    for lo in range(0, n, size):
+        hi = min(n, lo + size)
+        hlo, hhi = max(0, lo - 1), min(n, hi + 1)
+        if lo == 0:
+            hhi = max(hhi, min(n, 3))
+        if hi == n:
+            hlo = min(hlo, max(0, n - 3))
+        slabs.append((slice(lo, hi), slice(hlo, hhi), slice(lo - hlo, hi - hlo),
+                      slice(lo * row_cells, hi * row_cells)))
+    return slabs
+
+
 def make_record(f: DistributionField, p, d0, sharp0: DistributionField, acc, clipped_mass):
     """The DiagnosticRecord of f.
 
     p is the kernel, d0 the Gaussian weight's constant, sharp0 the f-sharp the
     record is compared with, and acc the ENormAccumulator of the run, which
-    this record adds its E-norm integrand to.  <v> is built once on the
-    velocity axes, <x - t v> once over the field, and each derivative and
-    weight power is taken once.  The null term and the coefficient sups
-    come from one coefficient pass over the a and c tables, block by block, so
-    no full-field coefficient is built.  A zero field has zero coefficients,
-    so its sups and null term are 0.
+    this record adds its E-norm integrand to.  Two passes on the pool of
+    threads do the per-cell work, and no weight or derivative is built over
+    the whole field:
+
+    - the slab pass (record_slabs) takes g, <x - t v>^power, the derivatives
+      of RECORD_ORDERS, their Z maxima and E-norms, the L2_t integrand's norm,
+      each cell's velocity moments and max f, the f-sharp difference sup and
+      H, slab by slab;
+    - the coefficient pass takes the null term and the coefficient sups, block
+      by block, over the cells whose max f is at least CLIP_REL_TOL of the
+      peak.  The other cells hold round-off, whose coefficients are linear and
+      null term quadratic in it.  A zero field has zero coefficients, so its
+      sups and null term are 0.
+
+    The calling thread combines maxima and sums.  Every field but E_norms and
+    h_value is bitwise independent of the slab size; those two sum the slabs'
+    pieces and move with it within 1e-14 relative.
     """
-    grid = f.grid
+    grid, t = f.grid, f.time
+    if sharp0.grid != grid:
+        raise GridMismatch("sharp fields live on different grids")
     hp = hierarchy_params(p.gamma)
-    rho, m, e = velocity_moments(f.values, grid)
-    xvol = grid.dx ** grid.d_x
-    diff0 = sharp_cauchy_diff(pullback_sharp(f), sharp0)
+    vol, xvol = grid.cell_volume, grid.dx ** grid.d_x
     vb = bracket(grid.v_squared())
-    xtb = bracket(grid.x_minus_tv_squared(f.time))
-    fv, xtbc = cell_view(f.values, grid), cell_view(xtb, grid)
+    gw = gaussian_weight_field(f, WeightSpec.from_gamma(p.gamma, d0))
+    sharp = pullback_sharp(f).values
+
+    def slab(bounds):
+        rows, halo, inner, cells = bounds
+        fs = f.values[rows]
+        g = f.values[halo] * gw
+        xtb = bracket(grid.x_minus_tv_squared(t, cells)).reshape(fs.shape)
+        z_norms, e_norms = {}, {}
+        power = None
+        for key, alpha, beta, sigma in RECORD_ORDERS:
+            k = sum(alpha) + sum(beta) + sum(sigma)
+            dg = apply_derivatives(g, grid, t, alpha, beta, sigma)[inner]
+            if power != hp.M_max + 5 - sum(sigma):  # the orders come sorted by |sigma|
+                power = hp.M_max + 5 - sum(sigma)
+                xw = xtb ** power
+            z_norms[key] = z_norm(dg, vb, xw, t, sum(beta), hp.zeta[k], hp.theta[k])
+            e_norms[key] = e_norm(dg, xw, t, sum(beta), vol)
+            if key == "abs":
+                # ||<v> <x-tv>^(M_max+5) g||, whose square the L2_t integrand takes
+                e_norms["abs_Lt2"] = e_norm(dg, vb * xw, t, 0, vol)
+        cell_max = np.max(cell_view(fs, grid), axis=tuple(range(1, grid.d_v + 1)))
+        return (cell_max, velocity_moments(fs, grid), z_norms, e_norms,
+                _sharp_sup(sharp, sharp0.values, vb, grid, rows), h_functional(f, rows))
+
+    cell_max, moments, z_parts, e_parts, sharp_sups, h_parts = zip(
+        *pool().map(slab, record_slabs(grid)))
+    rho, m, e = (np.concatenate(parts) if grid.d_x else parts[0] for parts in zip(*moments))
+    z_norms = {key: max(part[key] for part in z_parts) for key in z_parts[0]}
+    e_norms = {key: math.hypot(*(part[key] for part in e_parts)) for key in e_parts[0]}
+    acc.add(t, (1.0 + t) ** (-1.0 - hp.delta) * e_norms["abs_Lt2"] ** 2)
+    e_norms["abs_Lt2"] = acc.value
+
+    cell_max = np.concatenate(cell_max)
+    peak = max(float(np.max(cell_max)), 0.0)
+    fv = cell_view(f.values, grid)
     vbv = vb.reshape((grid.n_v,) * grid.d_v)  # broadcasts over a block of cells
     null_weight = vbv ** (2.0 + p.gamma)
 
     def sups(cells, coeffs):
         # the null term a_bar_ij D_ij f and the coefficient sups of one block
         diffusion = apply_collision_diffusion(fv[cells], coeffs, grid)
-        out = coefficient_sup_norms(coeffs, p.gamma, vbv, xtbc[cells])
+        xtb = bracket(grid.x_minus_tv_squared(t, cells))
+        out = coefficient_sup_norms(coeffs, p.gamma, vbv, xtb)
         return (np.max(np.abs(diffusion) / null_weight),
                 out["plain"], out["weighted_down"], out["c_sup"])
 
+    blocks = coefficient_pass(f, p, "ac", sups, np.flatnonzero(cell_max >= CLIP_REL_TOL * peak))
+    # every sup is >= 0, so a pass that visits no cell gives 0
     null_term, plain, weighted, c_sup = (
-        float(v) for v in np.max(coefficient_pass(f, p, "ac", sups), axis=0))
-
-    g = to_g(f, WeightSpec.from_gamma(p.gamma, d0))
-    z_norms = {}
-    e_norms = {}
-    power = None
-    for key, alpha, beta, sigma in RECORD_ORDERS:
-        k = sum(alpha) + sum(beta) + sum(sigma)
-        dg = apply_derivatives(g, alpha, beta, sigma)
-        if power != hp.M_max + 5 - sum(sigma):  # the orders come sorted by |sigma|
-            power = hp.M_max + 5 - sum(sigma)
-            xw = xtb ** power
-        z_norms[key] = z_norm(dg, vb, xw, f.time, sum(beta), hp.zeta[k], hp.theta[k])
-        e_norms[key] = e_norm(dg, xw, f.time, sum(beta), grid.cell_volume)
-        if key == "abs":
-            # the L2_t integrand ||(1+t)^(-1/2-delta/2) <v> <x-tv>^(M_max+5) g||^2
-            acc.add(f.time, (1.0 + f.time) ** (-1.0 - hp.delta)
-                    * float(np.sum((vb * xw * dg) ** 2)) * grid.cell_volume)
-            e_norms["abs_Lt2"] = acc.value
+        float(v) for v in np.max(np.reshape(blocks, (-1, 4)), axis=0, initial=0.0))
     return DiagnosticRecord(
-        t=f.time,
+        t=t,
         mass=float(np.sum(rho)) * xvol,
         momentum=list(m.reshape(-1, grid.d_v).sum(axis=0) * xvol),
         energy=float(np.sum(e)) * xvol,
@@ -290,10 +362,20 @@ def make_record(f: DistributionField, p, d0, sharp0: DistributionField, acc, cli
         a_bar_weighted_sup=weighted,
         c_bar_sup=c_sup,
         null_term_sup=null_term,
-        sharp_diff_vs_t0=diff0,
-        h_value=h_functional(f),
+        sharp_diff_vs_t0=max(sharp_sups),
+        h_value=sum(h_parts),
         clipped_mass=clipped_mass,
     )
+
+
+def _sharp_sup(a, b, vb, grid: Grid, rows):
+    """sup <v>^2 <x>^2 |a - b| over rows of the first spatial axis, with vb = <v>."""
+    xs = grid.x_mesh()
+    if xs:
+        xs[0] = xs[0][rows]
+    # plain <x> on the spatial axes: the terms of x_minus_tv_squared(0.0)
+    xb = bracket(sum(grid.wrap_x(x) ** 2 for x in xs))
+    return float(np.max(vb ** 2 * xb ** 2.0 * np.abs(a[rows] - b[rows])))
 
 
 def sharp_cauchy_diff(f_sharp_1: DistributionField, f_sharp_2: DistributionField):
@@ -301,8 +383,5 @@ def sharp_cauchy_diff(f_sharp_1: DistributionField, f_sharp_2: DistributionField
     if f_sharp_1.grid != f_sharp_2.grid:
         raise GridMismatch("sharp fields live on different grids")
     grid = f_sharp_1.grid
-    vb = bracket(grid.v_squared())
-    # plain <x> on the spatial axes: the terms of x_minus_tv_squared(0.0)
-    xb = bracket(sum(grid.wrap_x(x) ** 2 for x in grid.x_mesh()))
-    w = vb ** 2 * xb ** 2.0
-    return float(np.max(w * np.abs(f_sharp_1.values - f_sharp_2.values)))
+    return _sharp_sup(f_sharp_1.values, f_sharp_2.values, bracket(grid.v_squared()), grid,
+                      slice(None))

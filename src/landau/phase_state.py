@@ -98,14 +98,22 @@ class Grid:
         """Minimal-image representative of u on the periodic box."""
         return (np.asarray(u) + 0.5 * self.L_x) % self.L_x - 0.5 * self.L_x
 
-    def x_minus_tv_squared(self, t):
-        """|x - t v|^2 over the paired axes, minimal-image; zero if d_x = 0."""
-        tot = np.zeros(self.shape)
-        xs = self.x_mesh()
-        vs = self.v_mesh()
-        for a in range(self.d_x):
-            tot = tot + self.wrap_x(xs[a] - t * vs[a]) ** 2
-        return tot
+    def x_minus_tv_squared(self, t, cells=None):
+        """|x - t v|^2 over the paired axes, minimal-image; zero if d_x = 0.
+
+        Over the grid's shape, or over the spatial cells that cells, a slice or
+        index array of the flat cell axis, picks: shape (cells,) + (n_v,)*d_v.
+        """
+        picked = np.arange(self.n_x ** self.d_x)
+        if cells is not None:
+            picked = picked[cells]
+        tot = np.zeros((picked.size,) + (self.n_v,) * self.d_v)
+        coords = np.unravel_index(picked, (self.n_x,) * self.d_x) if self.d_x else ()
+        for a, index in enumerate(coords):
+            x = self.x_axis()[index].reshape((-1,) + (1,) * self.d_v)
+            v = self.v_axis().reshape([self.n_v if b == a else 1 for b in range(self.d_v)])
+            tot = tot + self.wrap_x(x - t * v) ** 2
+        return tot.reshape(self.shape) if cells is None else tot
 
 
 @dataclass
@@ -166,8 +174,3 @@ def gaussian_weight_field(f: DistributionField, spec: WeightSpec):
         raise WeightOverflow(
             "e^{d(t)<v>^2} overflows at v_max; reduce d0 or v_max")
     return np.exp(expo)
-
-
-def to_g(f: DistributionField, spec: WeightSpec):
-    """Gaussian-in-velocity reweighted view g = e^{d(t)<v>^2} f."""
-    return DistributionField(f.time, f.values * gaussian_weight_field(f, spec), f.grid)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import cell_view, coefficient_pass, distinct_a_bar
+from .coefficients import CLIP_REL_TOL, cell_view, coefficient_pass, distinct_a_bar
 from .collision import apply_collision_divergence
 from .config import SimulationConfig, initial_data, validate_config
 from .diagnostics import ENormAccumulator, make_record
@@ -22,7 +22,6 @@ from .phase_state import DistributionField
 from .transport import pullback_sharp, transport_shift
 
 CLIP_BUDGET = 1e-8
-CLIP_REL_TOL = 1e-14
 MAX_SUBCYCLES = 10000
 
 

@@ -1,4 +1,4 @@
-"""The process-wide pool of worker threads that the coefficient pass and transport share.
+"""The process-wide pool of worker threads: the coefficient pass, transport and the record share it.
 
 numpy's FFTs and ufuncs release the GIL, so independent blocks of a field run
 in parallel.  The pool is made at first use: importing landau starts no thread.

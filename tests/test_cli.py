@@ -1,5 +1,6 @@
 """Checkpoint format, NDJSON stream, and the command-line entry points."""
 
+import dataclasses
 import json
 import math
 import os
@@ -150,6 +151,26 @@ def test_cli_run_and_fit_report(tmp_path, capsys):
     back, gamma = load_checkpoint(out + "/final.lndk")
     assert gamma == -1.0
     assert back.time == pytest.approx(2.0)
+
+
+def test_fit_report_prints_the_predicted_null_structure_gain(tmp_path, capsys):
+    # d_v = 2 is the length of the records' momentum; at d_x = 1 < d_v the
+    # predicted gain is 0, at d_x = d_v it is min{1, 2+gamma}
+    path = str(tmp_path / "diag.ndjson")
+    write_ndjson(path, [dataclasses.replace(_record(t), a_bar_plain_sup=(1.0 + t) ** -1.0,
+                                            a_bar_weighted_sup=(1.0 + t) ** -1.04)
+                        for t in np.linspace(5.0, 20.0, 8)])
+    main(["fit-report", path])
+    out = capsys.readouterr().out
+    assert "null_structure_gain: +0.040 predicted +0.000 (d_x 1 < d_v 2)\n" in out
+    main(["fit-report", path, "--d-x", "2"])
+    assert "null_structure_gain: +0.040 predicted min{1, 2+gamma}\n" in capsys.readouterr().out
+    cfg = json.loads(open(_write_cfg(tmp_path, t_final=25.0)).read())  # fit window (5, 20)
+    cfg.update(gamma=-1.5, dims={"d_x": 2, "d_v": 2})
+    cfg["grid"]["L_x"] = 900.0
+    (tmp_path / "d2.json").write_text(json.dumps(cfg))
+    main(["fit-report", path, "--config", str(tmp_path / "d2.json")])
+    assert "null_structure_gain: +0.040 predicted +0.500\n" in capsys.readouterr().out
 
 
 def test_cli_resume_from_checkpoint(tmp_path):

@@ -185,6 +185,20 @@ def test_pass_hands_each_block_its_requested_tables():
     assert all(ok for _, ok in results)
 
 
+def test_pass_visits_only_the_given_cells():
+    g = Grid(1, 2, 80, 32, 10.0, 2.0)
+    p = KernelParams(-1.0, 2)
+    f = DistributionField(0.0, np.random.default_rng(16).random(g.shape), g)
+    c = compute_coefficients(f, p).c_bar.reshape(80, 32, 32)
+    cells = np.array([0, 2, 3, 7, 8, 9] + list(range(20, 60)) + [79])
+    results = coefficient_pass(f, p, "ac", lambda block, coeffs: (
+        block, np.array_equal(coeffs.c_bar, c[block])), cells)
+    size = block_cells(g)  # 32 cells: the 47 given ones in two blocks
+    assert [list(block) for block, _ in results] == [list(cells[:size]), list(cells[size:])]
+    assert all(ok for _, ok in results)
+    assert coefficient_pass(f, p, "ac", lambda block, coeffs: 1, cells[:0]) == []
+
+
 def test_pass_is_bitwise_the_same_with_one_cell_blocks(monkeypatch):
     g = Grid(1, 2, 40, 32, 10.0, 3.0)
     p = KernelParams(-1.0, 2)

@@ -1,19 +1,23 @@
 """Hierarchy constants, weighted norms, the diagnostic record, and decay-rate fitting."""
 
+import dataclasses
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import landau.coefficients
 import landau.diagnostics
-from landau.coefficients import coefficient_sup_norms, compute_coefficients
+import landau.threads
+from landau.coefficients import (CLIP_REL_TOL, cell_view, coefficient_sup_norms,
+                                 compute_coefficients)
 from landau.collision import apply_collision_diffusion, apply_collision_nonconservative
 from landau.kernel import KernelParams
 from landau.config import SimulationConfig, initial_data
 from landau.diagnostics import (ENormAccumulator, apply_derivatives, e_norm,
                                 fit_decay_rate, hierarchy_params, make_record,
-                                null_structure_gain, sharp_cauchy_diff,
+                                null_structure_gain, record_slabs, sharp_cauchy_diff,
                                 velocity_moments, z_norm)
 from landau.errors import (GammaOutOfRange, GridMismatch, InsufficientPoints,
                            NonPositiveValue)
@@ -72,10 +76,10 @@ def test_apply_derivatives_polynomial_exact():
     x = g.x_mesh()[0]
     v = g.v_mesh()[0]
     f = DistributionField(0.0, (x ** 2 + 3.0 * x * v) * np.ones(g.shape), g)
-    dx = apply_derivatives(f, (1,), (), ())
+    dx = apply_derivatives(f.values, g, f.time, (1,), (), ())
     interior = (slice(1, -1), slice(1, -1))
     assert np.allclose(dx[interior], (2.0 * x + 3.0 * v)[interior], atol=1e-10)
-    dv = apply_derivatives(f, (), (1,), ())
+    dv = apply_derivatives(f.values, g, f.time, (), (1,), ())
     assert np.allclose(dv[interior], (3.0 * x * np.ones_like(v))[interior], atol=1e-10)
 
 
@@ -87,10 +91,10 @@ def test_y_derivative_combines_transport_direction():
     v = g.v_mesh()[0]
     u = x - t * v
     f = DistributionField(t, np.exp(-0.1 * u ** 2), g)
-    y = apply_derivatives(f, (), (), (1,))
+    y = apply_derivatives(f.values, g, t, (), (), (1,))
     interior = (slice(2, -2), slice(2, -2))
     assert np.max(np.abs(y[interior])) < 1e-2 * np.max(np.abs(
-        apply_derivatives(f, (), (1,), ())[interior]))
+        apply_derivatives(f.values, g, t, (), (1,), ())[interior]))
 
 
 def test_z_norm_constant_field():
@@ -132,10 +136,10 @@ def _expected_record(f, cfg):
         "Z_norms": {}, "E_norms": {},
     }
     d_t = cfg.d0 * (1.0 + (1.0 + t) ** -hp.delta)
-    g = DistributionField(t, f.values * np.exp(d_t * (1.0 + grid.v_squared())), grid)
+    g = f.values * np.exp(d_t * (1.0 + grid.v_squared()))
     for key, (alpha, beta, sigma) in RECORD_KEYS.items():
         k, nb = sum(beta) + sum(sigma), sum(beta)
-        dg = apply_derivatives(g, alpha, beta, sigma)
+        dg = apply_derivatives(g, grid, t, alpha, beta, sigma)
         xw = xtb ** (hp.M_max + 5 - sum(sigma))
         out["Z_norms"][key] = ((1.0 + t) ** (-hp.zeta[k] - nb)
                                * np.max(vb ** (1.0 - hp.theta[k]) * xw * np.abs(dg)))
@@ -207,26 +211,95 @@ def test_record_norms_are_those_of_full_field_weights(d_x, d_v):
     vsq = np.broadcast_to(g.v_squared(), g.shape).copy()
     vb, xtb = bracket(vsq), bracket(g.x_minus_tv_squared(f.time))
     d_t = gaussian_exponent(f.time, WeightSpec.from_gamma(p.gamma, 0.2))
-    weighted = DistributionField(f.time, vals * np.exp(d_t * (1.0 + vsq)), g)
+    weighted = vals * np.exp(d_t * (1.0 + vsq))
     for key, (alpha, beta, sigma) in RECORD_KEYS.items():
         k, nb = sum(beta) + sum(sigma), sum(beta)
-        dg = apply_derivatives(weighted, alpha, beta, sigma)
+        dg = apply_derivatives(weighted, g, f.time, alpha, beta, sigma)
         xw = xtb ** (hp.M_max + 5 - sum(sigma))
         assert rec.Z_norms[key] == z_norm(dg, vb, xw, f.time, nb, hp.zeta[k], hp.theta[k])
-        assert rec.E_norms[key] == e_norm(dg, xw, f.time, nb, g.cell_volume)
+        # the record sums the norm's square slab by slab
+        assert rec.E_norms[key] == pytest.approx(e_norm(dg, xw, f.time, nb, g.cell_volume),
+                                                 rel=1e-14, abs=0.0)
         if key == "abs":
             want = ENormAccumulator()
             want.add(0.0, 2.0)
             want.add(f.time, (1.0 + f.time) ** (-1.0 - hp.delta)
                      * float(np.sum((vb * xw * dg) ** 2)) * g.cell_volume)
-            assert rec.E_norms["abs_Lt2"] == want.value
+            assert rec.E_norms["abs_Lt2"] == pytest.approx(want.value, rel=1e-14, abs=0.0)
     xb = bracket(g.x_minus_tv_squared(0.0))
     diff = np.abs(pullback_sharp(f).values - sharp0.values)
     assert rec.sharp_diff_vs_t0 == float(np.max(vb ** 2 * xb ** 2.0 * diff)) > 0.0
 
 
+@pytest.mark.parametrize("d_x", [1, 2])
+def test_record_sups_skip_round_off_cells(d_x, monkeypatch):
+    # every other x cell holds round-off, below CLIP_REL_TOL of the peak, and
+    # some of those hold -1e-15 of it; the sups are the full-field ones
+    g = Grid(d_x, 2, {1: 20, 2: 6}[d_x], 12, 30.0, 3.0)
+    p = KernelParams(-1.3, 2)
+    vals = np.exp(-g.v_squared()) * np.random.default_rng(40 + d_x).random(g.shape)
+    cells = cell_view(vals, g)
+    cells[1::2] *= 0.5 * CLIP_REL_TOL
+    cells[1::4, :3, 5] = -1e-15 * np.max(vals)
+    f = DistributionField(0.75, vals, g)
+    visited = []
+    coefficient_pass = landau.diagnostics.coefficient_pass
+
+    def pass_over(*args):
+        visited.extend(args[-1])
+        return coefficient_pass(*args)
+    monkeypatch.setattr(landau.diagnostics, "coefficient_pass", pass_over)
+    rec = make_record(f, p, 0.2, pullback_sharp(f), ENormAccumulator(), 0.0)
+    assert visited == list(range(0, cells.shape[0], 2))
+    coeffs = compute_coefficients(f, p)
+    vb = bracket(g.v_squared())
+    sups = coefficient_sup_norms(coeffs, p.gamma, vb, bracket(g.x_minus_tv_squared(f.time)))
+    diffusion = apply_collision_diffusion(np.maximum(vals, 0.0), coeffs, g)
+    assert rec.null_term_sup == float(np.max(np.abs(diffusion) / vb ** (2.0 + p.gamma)))
+    assert rec.a_bar_plain_sup == sups["plain"]
+    assert rec.a_bar_weighted_sup == sups["weighted_down"]
+    assert rec.c_bar_sup == sups["c_sup"]
+    zero = DistributionField(0.75, np.zeros(g.shape), g)
+    rec = make_record(zero, p, 0.2, zero, ENormAccumulator(), 0.0)
+    sups = (rec.null_term_sup, rec.a_bar_plain_sup, rec.a_bar_weighted_sup, rec.c_bar_sup)
+    assert sups == (0.0,) * 4
+
+
+@pytest.mark.parametrize("d_x, n_x", [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)])
+def test_record_does_not_depend_on_slabs_or_threads(d_x, n_x, monkeypatch):
+    # slabs of 1 and 2 rows of x_1 and of the whole box, on 1 and 2 threads;
+    # at n_x = 3, 4 and 5 the halos meet the box edges
+    g = Grid(d_x, 2, n_x, 8, 12.0, 3.0)
+    p = KernelParams(-1.3, 2)
+    rng = np.random.default_rng(50 + 10 * d_x + n_x)
+    f = DistributionField(0.75, np.exp(-g.v_squared()) * rng.random(g.shape), g)
+    sharp0 = DistributionField(0.0, np.exp(-g.v_squared()) * rng.random(g.shape), g)
+    row = n_x ** (d_x - 1) * g.n_v ** 2
+    records = []
+    for rows in (n_x, 1, 2):
+        monkeypatch.setattr(landau.diagnostics, "SLAB_POINTS", rows * row)
+        assert len(record_slabs(g)) == -(-n_x // rows)
+        for threads in (1, 2):
+            with ThreadPoolExecutor(threads) as pool:
+                monkeypatch.setattr(landau.threads, "_POOL", pool)
+                acc = ENormAccumulator()
+                acc.add(0.0, 2.0)
+                records.append(dataclasses.asdict(make_record(f, p, 0.2, sharp0, acc, 0.0)))
+    whole, *others = records
+    for rec in others:
+        for name, value in whole.items():
+            if name == "E_norms":
+                assert rec[name] == pytest.approx(value, rel=1e-14, abs=0.0)
+            elif name == "h_value":
+                assert rec[name] == pytest.approx(value, rel=1e-14, abs=0.0)
+            else:
+                assert rec[name] == value, name
+
+
 def test_record_takes_each_weight_and_derivative_once(monkeypatch):
-    counts = dict.fromkeys(("v_squared", "x_minus_tv_squared", "apply_derivatives"), 0)
+    # once per slab: each derivative, and <x - t v> on the slab's cells
+    counts = {"v_squared": 0, "apply_derivatives": 0}
+    cells = []
 
     def count(owner, name):
         fn = getattr(owner, name)
@@ -237,13 +310,22 @@ def test_record_takes_each_weight_and_derivative_once(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     count(Grid, "v_squared")
-    count(Grid, "x_minus_tv_squared")
     count(landau.diagnostics, "apply_derivatives")
-    records = run(_record_cfg(0.0)).records  # t_final = 0: no step, one record
+    x_minus_tv_squared = Grid.x_minus_tv_squared
+
+    def picked(self, t, cells_=None):
+        cells.append(cells_)
+        return x_minus_tv_squared(self, t, cells_)
+    monkeypatch.setattr(Grid, "x_minus_tv_squared", picked)
+    cfg = _record_cfg(0.0)
+    # 48 x cells of 16^2 velocity points: slabs of 5 rows, the last partial
+    monkeypatch.setattr(landau.diagnostics, "SLAB_POINTS", 5 * 16 ** 2)
+    records = run(cfg).records  # t_final = 0: no step, one record
     assert len(records) == 1
-    assert counts["apply_derivatives"] == 3
+    assert counts["apply_derivatives"] == 3 * len(record_slabs(cfg.grid())) == 3 * 10
     assert counts["v_squared"] <= 3
-    assert counts["x_minus_tv_squared"] <= 2
+    # <x - t v> over the slabs' and the blocks' own cells, never the whole field
+    assert cells and all(c is not None for c in cells)
 
 
 def test_e_norm_accumulator_trapezoid():

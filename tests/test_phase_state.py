@@ -7,7 +7,7 @@ import pytest
 
 from landau.errors import GridMismatch, WeightOverflow
 from landau.phase_state import (DistributionField, Grid, WeightSpec, bracket,
-                                gaussian_exponent, to_g)
+                                gaussian_exponent, gaussian_weight_field)
 
 
 def test_grid_axes_are_cell_centers():
@@ -91,4 +91,4 @@ def test_gaussian_weight_overflow_gate():
     f = DistributionField(0.0, np.ones(g.shape), g)
     spec = WeightSpec(d0=1.0, delta=0.1)
     with pytest.raises(WeightOverflow):
-        to_g(f, spec)
+        gaussian_weight_field(f, spec)
