@@ -195,17 +195,20 @@ def cmd_fit_report(args):
             code = 2
     plain = [(r["t"], r["a_bar_plain_sup"]) for r in rows if r["a_bar_plain_sup"] > 0]
     weighted = [(r["t"], r["a_bar_weighted_sup"]) for r in rows if r["a_bar_weighted_sup"] > 0]
-    if len(plain) >= 5 and len(weighted) >= 5:
+    try:
         gain = null_structure_gain(plain, weighted, window)
-        # the gain min{1, 2+gamma} needs every velocity axis paired with x
-        d_v = len(rows[0]["momentum"])
-        if d_x < d_v:
-            predicted = f"+0.000 (d_x {d_x} < d_v {d_v})"
-        elif cfg is not None:
-            predicted = f"{min(1.0, 2.0 + cfg.gamma):+.3f}"
-        else:
-            predicted = "min{1, 2+gamma}"
-        print(f"null_structure_gain: {gain:+.3f} predicted {predicted}")
+    except InsufficientPoints as exc:
+        print(f"null_structure_gain: skipped ({exc})")
+        return code
+    # the gain min{1, 2+gamma} needs every velocity axis paired with x
+    d_v = len(rows[0]["momentum"])
+    if d_x < d_v:
+        predicted = f"+0.000 (d_x {d_x} < d_v {d_v})"
+    elif cfg is not None:
+        predicted = f"{min(1.0, 2.0 + cfg.gamma):+.3f}"
+    else:
+        predicted = "min{1, 2+gamma}"
+    print(f"null_structure_gain: {gain:+.3f} predicted {predicted}")
     return code
 
 

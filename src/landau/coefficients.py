@@ -19,9 +19,13 @@ from .threads import pool
 
 _TABLE_CACHE = {}
 # Values below CLIP_REL_TOL of a field's peak are round-off: negatives that
-# small pass the sign check and the clip, and the record's coefficient pass
-# skips the cells that hold nothing above it.
+# small pass the sign check and the clip.
 CLIP_REL_TOL = 1e-14
+# The coefficient passes of the stepper and the record visit only the cells
+# whose max f is at least DATA_TOL of the peak (data_cells).  Q is quadratic in
+# a cell's f, and the CFL step caps h |a_bar| / dv^2, so a skipped cell's
+# update h |Q| stays below about DATA_TOL^2 = CLIP_REL_TOL of the peak.
+DATA_TOL = CLIP_REL_TOL ** 0.5
 # Velocity points per block of the coefficient pass.  A block's spectra stay
 # in cache, and fewer blocks make fewer of the consumers' numpy calls, which
 # hold the GIL.  The record's pass on 2 threads (medians of 7): at d_v = 2,
@@ -136,6 +140,18 @@ def _checked_tables(f: DistributionField, p: KernelParams):
 def cell_view(values, grid: Grid):
     """values of the grid's shape viewed as (spatial cells,) + (n_v,) * d_v."""
     return values.reshape((-1,) + (grid.n_v,) * grid.d_v)
+
+
+def data_cells(values, grid: Grid):
+    """The cells of cell_view(values, grid) whose max is at least DATA_TOL of the peak.
+
+    An increasing index array, empty when no value is positive: the
+    coefficients of max(f, 0) vanish there.  With d_x = 0 the one cell holds
+    the peak, so it is always picked.
+    """
+    cell_max = np.max(cell_view(values, grid), axis=tuple(range(1, grid.d_v + 1)))
+    peak = float(np.max(cell_max))
+    return np.flatnonzero(cell_max >= DATA_TOL * peak) if peak > 0.0 else np.arange(0)
 
 
 def _convolve_block(fv, fft_tables, names, grid: Grid):

@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .diagnostics import dispersive_window
 from .errors import ConfigInvalid, ParseError
 from .kernel import KernelParams
 from .maxwellian import TravelingMaxwellianParams, maxwellian_sharp_field
@@ -35,6 +36,15 @@ class SimulationConfig:
     checkpoint_every: float = 0.0
 
     def __post_init__(self):
+        # the dispersive window of Gaussian-in-x data, else (5, 0.8 t_final)
+        if self.fit_window is None and self.initial_kind in ("gaussian", "seed"):
+            par = self.initial_parameters
+            try:
+                self.fit_window = dispersive_window(
+                    float(par.get("x_width", 1.0)), float(par.get("v_width", 1.0)),
+                    2.0 * self.v_max / self.n_v, self.t_final)
+            except ZeroDivisionError:
+                pass  # a zero width or velocity grid, which validate_config refuses
         if self.fit_window is None:
             self.fit_window = (5.0, 0.8 * self.t_final)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CLIP_REL_TOL, cell_view, coefficient_pass, coefficient_sup_norms
+from .coefficients import cell_view, coefficient_pass, coefficient_sup_norms, data_cells
 from .collision import apply_collision_diffusion, h_functional
 from .errors import GammaOutOfRange, GridMismatch, InsufficientPoints, NonPositiveValue
 from .phase_state import DistributionField, Grid, WeightSpec, bracket, gaussian_weight_field
@@ -229,6 +229,18 @@ def fit_decay_rate(series, window=None):
     return float(slope), float(math.sqrt(max(cov[0, 0], 0.0)))
 
 
+def dispersive_window(x_width, v_width, dv, t_end):
+    """Fit window [2.5 tau, 1.2 x_width / dv] for Gaussian data, capped at t_end.
+
+    tau = x_width / v_width is the dispersion time: decay rates are asymptotic
+    only from a few tau on.  Past 1.2 x_width / dv the velocity grid no longer
+    resolves the width x_width / t of the slices f(t, x, .), and the discrete
+    density stops dispersing.  The window is empty when the run ends before it
+    opens.
+    """
+    return 2.5 * x_width / v_width, min(t_end, 1.2 * x_width / dv)
+
+
 def null_structure_gain(plain_series, weighted_series, window=None):
     """slope(plain a_bar sup) - slope(weighted a_bar sup).
 
@@ -279,13 +291,13 @@ def make_record(f: DistributionField, p, d0, sharp0: DistributionField, acc, cli
 
     - the slab pass (record_slabs) takes g, <x - t v>^power, the derivatives
       of RECORD_ORDERS, their Z maxima and E-norms, the L2_t integrand's norm,
-      each cell's velocity moments and max f, the f-sharp difference sup and
-      H, slab by slab;
+      each cell's velocity moments, the f-sharp difference sup and H, slab by
+      slab;
     - the coefficient pass takes the null term and the coefficient sups, block
-      by block, over the cells whose max f is at least CLIP_REL_TOL of the
-      peak.  The other cells hold round-off, whose coefficients are linear and
-      null term quadratic in it.  A zero field has zero coefficients, so its
-      sups and null term are 0.
+      by block, over the stepper's cells (data_cells).  The other cells hold
+      less than DATA_TOL of the peak, whose coefficients are linear and null
+      term quadratic in it.  A field with no positive value has zero
+      coefficients, so its sups and null term are 0.
 
     The calling thread combines maxima and sums.  Every field but E_norms and
     h_value is bitwise independent of the slab size; those two sum the slabs'
@@ -318,20 +330,16 @@ def make_record(f: DistributionField, p, d0, sharp0: DistributionField, acc, cli
             if key == "abs":
                 # ||<v> <x-tv>^(M_max+5) g||, whose square the L2_t integrand takes
                 e_norms["abs_Lt2"] = e_norm(dg, vb * xw, t, 0, vol)
-        cell_max = np.max(cell_view(fs, grid), axis=tuple(range(1, grid.d_v + 1)))
-        return (cell_max, velocity_moments(fs, grid), z_norms, e_norms,
+        return (velocity_moments(fs, grid), z_norms, e_norms,
                 _sharp_sup(sharp, sharp0.values, vb, grid, rows), h_functional(f, rows))
 
-    cell_max, moments, z_parts, e_parts, sharp_sups, h_parts = zip(
-        *pool().map(slab, record_slabs(grid)))
+    moments, z_parts, e_parts, sharp_sups, h_parts = zip(*pool().map(slab, record_slabs(grid)))
     rho, m, e = (np.concatenate(parts) if grid.d_x else parts[0] for parts in zip(*moments))
     z_norms = {key: max(part[key] for part in z_parts) for key in z_parts[0]}
     e_norms = {key: math.hypot(*(part[key] for part in e_parts)) for key in e_parts[0]}
     acc.add(t, (1.0 + t) ** (-1.0 - hp.delta) * e_norms["abs_Lt2"] ** 2)
     e_norms["abs_Lt2"] = acc.value
 
-    cell_max = np.concatenate(cell_max)
-    peak = max(float(np.max(cell_max)), 0.0)
     fv = cell_view(f.values, grid)
     vbv = vb.reshape((grid.n_v,) * grid.d_v)  # broadcasts over a block of cells
     null_weight = vbv ** (2.0 + p.gamma)
@@ -344,7 +352,7 @@ def make_record(f: DistributionField, p, d0, sharp0: DistributionField, acc, cli
         return (np.max(np.abs(diffusion) / null_weight),
                 out["plain"], out["weighted_down"], out["c_sup"])
 
-    blocks = coefficient_pass(f, p, "ac", sups, np.flatnonzero(cell_max >= CLIP_REL_TOL * peak))
+    blocks = coefficient_pass(f, p, "ac", sups, data_cells(f.values, grid))
     # every sup is >= 0, so a pass that visits no cell gives 0
     null_term, plain, weighted, c_sup = (
         float(v) for v in np.max(np.reshape(blocks, (-1, 4)), axis=0, initial=0.0))

@@ -2,9 +2,11 @@
 
 Transport is spectrally exact, so the splitting error is localized in the
 collision substep, an explicit midpoint (RK2) update with coefficients
-recomputed at each stage and CFL-limited sub-cycling.  Negative values created
-by the update are clipped to zero; the clipped mass is accumulated and run()
-aborts if it exceeds CLIP_BUDGET of the initial mass.
+recomputed at each stage and CFL-limited sub-cycling.  Each stage updates only
+the cells whose max f is at least DATA_TOL of the peak (data_cells); Q is 0 in
+the others, whose update would be below CLIP_REL_TOL of it.  Negative values
+created by the update are clipped to zero; the clipped mass is accumulated and
+run() aborts if it exceeds CLIP_BUDGET of the initial mass.
 """
 
 import math
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CLIP_REL_TOL, cell_view, coefficient_pass, distinct_a_bar
+from .coefficients import CLIP_REL_TOL, cell_view, coefficient_pass, data_cells, distinct_a_bar
 from .collision import apply_collision_divergence
 from .config import SimulationConfig, initial_data, validate_config
 from .diagnostics import ENormAccumulator, make_record
@@ -56,11 +58,12 @@ def _collision_dt(amax, cmax, grid, cfl_safety):
 
 
 def _collision_rhs(vals, grid, p: KernelParams, with_c=False):
-    """Q(f) in flux form by one coefficient pass, block by block.
+    """Q(f) in flux form by one coefficient pass over data_cells, block by block.
 
-    Returns Q and, per block, (max |a_bar_ij|, max |c_bar|) if with_c, else None.
+    Q is 0 in the cells the pass skips.  Returns Q and, per block, (max
+    |a_bar_ij|, max |c_bar|) over its cells if with_c, else None.
     """
-    rhs = np.empty(vals.shape)
+    rhs = np.zeros(vals.shape)
     q, fv = cell_view(rhs, grid), cell_view(vals, grid)
 
     def stage(cells, coeffs):
@@ -70,7 +73,7 @@ def _collision_rhs(vals, grid, p: KernelParams, with_c=False):
                     np.max(np.abs(coeffs.c_bar)))
 
     maxima = coefficient_pass(DistributionField(0.0, vals, grid), p,
-                              "abc" if with_c else "ab", stage)
+                              "abc" if with_c else "ab", stage, data_cells(vals, grid))
     return rhs, maxima
 
 
@@ -87,7 +90,8 @@ def collision_substep(f: DistributionField, dt, p: KernelParams, cfl_safety,
         return DistributionField(f.time, f.values, f.grid)
     vals = f.values
     k1, maxima = _collision_rhs(vals, grid, p, with_c=True)
-    amax, cmax = np.max(maxima, axis=0)
+    # a field with no positive value has no cell to visit, and Q = 0
+    amax, cmax = np.max(np.reshape(maxima, (-1, 2)), axis=0, initial=0.0)
     dt_cfl = _collision_dt(float(amax), float(cmax), grid, cfl_safety)
     nsub = max(1, math.ceil(dt / dt_cfl)) if math.isfinite(dt_cfl) else 1
     if nsub > MAX_SUBCYCLES:

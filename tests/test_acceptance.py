@@ -25,8 +25,8 @@ import pytest
 from landau.coefficients import compute_coefficients, coefficient_sup_norms
 from landau.collision import apply_collision_divergence, h_functional
 from landau.config import SimulationConfig, initial_data, validate_config
-from landau.diagnostics import (conserved_moments, fit_decay_rate, hierarchy_params,
-                                null_structure_gain, sharp_cauchy_diff,
+from landau.diagnostics import (conserved_moments, dispersive_window, fit_decay_rate,
+                                hierarchy_params, null_structure_gain, sharp_cauchy_diff,
                                 velocity_moments)
 from landau.kernel import (KernelParams, contraction_identities, kernel_c,
                            kernel_divergence, kernel_matrix)
@@ -297,17 +297,6 @@ def test_criterion_6_dispersion_rates():
 # 7. coefficient decay and null-structure gain near vacuum
 
 
-def _dispersive_window(x_width, v_width, dv, t_end):
-    """Fit window [2.5 tau, 1.2 x_width / dv] for Gaussian data, capped at t_end.
-
-    tau = x_width / v_width is the dispersion time: decay rates are asymptotic
-    only from a few tau on.  Past 1.2 x_width / dv the velocity grid no longer
-    resolves the width x_width / t of the slices f(t, x, .), and the discrete
-    density stops dispersing.
-    """
-    return 2.5 * x_width / v_width, min(t_end, 1.2 * x_width / dv)
-
-
 def _dispersive_cfg():
     # tau = 4 / 1 = 4 and dv = 12 / 64 = 0.1875, so the window is
     # [2.5 * 4, min(25, 1.2 * 4 / 0.1875 = 25.6)] = [10, 25].
@@ -323,7 +312,7 @@ def _dispersive_cfg():
 # tau = 6 and dv = 0.1875, so the window is [2.5 * 6, 1.2 * 6 / 0.1875] = [15, 38.4].
 GAIN_X_WIDTH = 6.0
 GAIN_V_GRID = Grid(0, 2, 1, 64, 1.0, 6.0)
-GAIN_WINDOW = _dispersive_window(GAIN_X_WIDTH, 1.0, GAIN_V_GRID.dv, math.inf)
+GAIN_WINDOW = dispersive_window(GAIN_X_WIDTH, 1.0, GAIN_V_GRID.dv, math.inf)
 GAIN_SPACING = 0.5
 GAIN_RADIUS = 20.0
 
@@ -380,8 +369,7 @@ def _free_coefficient_sups(gamma, times):
 def test_criterion_7_coefficient_decay():
     cfg = _dispersive_cfg()
     par = cfg.initial_parameters
-    window = _dispersive_window(par["x_width"], par["v_width"], cfg.grid().dv,
-                                cfg.t_final)
+    window = dispersive_window(par["x_width"], par["v_width"], cfg.grid().dv, cfg.t_final)
     r = _drive(cfg, ())
     slope = fit_decay_rate(r["plain"], window)[0]
     clip_frac = r["clipped"] / (CLIP_BUDGET * r["mass0"])

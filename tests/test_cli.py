@@ -165,12 +165,17 @@ def test_fit_report_prints_the_predicted_null_structure_gain(tmp_path, capsys):
     assert "null_structure_gain: +0.040 predicted +0.000 (d_x 1 < d_v 2)\n" in out
     main(["fit-report", path, "--d-x", "2"])
     assert "null_structure_gain: +0.040 predicted min{1, 2+gamma}\n" in capsys.readouterr().out
-    cfg = json.loads(open(_write_cfg(tmp_path, t_final=25.0)).read())  # fit window (5, 20)
-    cfg.update(gamma=-1.5, dims={"d_x": 2, "d_v": 2})
+    cfg = json.loads(open(_write_cfg(tmp_path, t_final=25.0)).read())
+    cfg.update(gamma=-1.5, dims={"d_x": 2, "d_v": 2}, diagnostics={"fit_window": [5.0, 20.0]})
     cfg["grid"]["L_x"] = 900.0
     (tmp_path / "d2.json").write_text(json.dumps(cfg))
     main(["fit-report", path, "--config", str(tmp_path / "d2.json")])
     assert "null_structure_gain: +0.040 predicted +0.500\n" in capsys.readouterr().out
+    # without the key the dispersive window (87.5, 25) of this data holds no record
+    del cfg["diagnostics"]
+    (tmp_path / "d2.json").write_text(json.dumps(cfg))
+    assert main(["fit-report", path, "--config", str(tmp_path / "d2.json")]) == 0
+    assert "null_structure_gain: skipped (0 points in window" in capsys.readouterr().out
 
 
 def test_cli_resume_from_checkpoint(tmp_path):

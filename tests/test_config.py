@@ -1,5 +1,6 @@
 """Configuration parsing, initial data, and gate checks."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -31,7 +32,26 @@ def test_parse_round_trip(tmp_path):
     cfg = parse_config(str(path))
     assert cfg.gamma == -1.0
     assert cfg.grid().shape == (16, 24, 24)
-    assert cfg.fit_window == (5.0, 8.0)  # default 0.8 t_final
+    # the dispersive window [2.5 x_width / v_width, 1.2 x_width / dv], capped at
+    # t_final: this run ends before its data disperses, so the window is empty
+    assert cfg.fit_window == (75.0, 10.0)
+
+
+def test_fit_window_defaults_to_the_dispersive_window():
+    # criterion 7's config: tau = 4 and dv = 0.1875, so [10, min(25, 25.6)]
+    c7 = SimulationConfig(
+        gamma=-1.0, d0=0.2, epsilon=1e-3, d_x=1, d_v=2, n_x=320, n_v=64,
+        L_x=360.0, v_max=6.0, t_final=25.0, initial_parameters={"x_width": 4.0})
+    assert c7.fit_window == (10.0, 25.0)
+    seed = dataclasses.replace(c7, initial_kind="seed", fit_window=None,
+                               initial_parameters={"x_width": 4.0, "v_width": 2.0})
+    assert seed.fit_window == (5.0, 25.0)
+    maxwellian = dataclasses.replace(c7, initial_kind="maxwellian", fit_window=None)
+    assert maxwellian.fit_window == (5.0, 20.0)
+    # a malformed velocity grid keeps the plain default, and validate_config refuses it
+    assert dataclasses.replace(c7, n_v=0, fit_window=None).fit_window == (5.0, 20.0)
+    raw = _base_dict(diagnostics={"fit_window": [1.0, 9.0]})
+    assert config_from_dict(raw).fit_window == (1.0, 9.0)
 
 
 def test_parse_error_reports_line(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 import landau.coefficients
 import landau.diagnostics
 import landau.threads
-from landau.coefficients import (CLIP_REL_TOL, cell_view, coefficient_sup_norms,
+from landau.coefficients import (CLIP_REL_TOL, DATA_TOL, cell_view, coefficient_sup_norms,
                                  compute_coefficients)
 from landau.collision import apply_collision_diffusion, apply_collision_nonconservative
 from landau.kernel import KernelParams
@@ -234,13 +234,18 @@ def test_record_norms_are_those_of_full_field_weights(d_x, d_v):
 @pytest.mark.parametrize("d_x", [1, 2])
 def test_record_sups_skip_round_off_cells(d_x, monkeypatch):
     # every other x cell holds round-off, below CLIP_REL_TOL of the peak, and
-    # some of those hold -1e-15 of it; the sups are the full-field ones
+    # some of those hold -1e-15 of it; every fourth holds 1e-9 of its data,
+    # above CLIP_REL_TOL but below DATA_TOL of the peak.  Only the rest are
+    # visited, and the sups are the full-field ones
     g = Grid(d_x, 2, {1: 20, 2: 6}[d_x], 12, 30.0, 3.0)
     p = KernelParams(-1.3, 2)
     vals = np.exp(-g.v_squared()) * np.random.default_rng(40 + d_x).random(g.shape)
     cells = cell_view(vals, g)
     cells[1::2] *= 0.5 * CLIP_REL_TOL
     cells[1::4, :3, 5] = -1e-15 * np.max(vals)
+    cells[2::4] *= 1e-9
+    assert np.all(np.max(cells[2::4], axis=(1, 2)) >= CLIP_REL_TOL * np.max(vals))
+    assert np.all(np.max(cells[2::4], axis=(1, 2)) < DATA_TOL * np.max(vals))
     f = DistributionField(0.75, vals, g)
     visited = []
     coefficient_pass = landau.diagnostics.coefficient_pass
@@ -250,7 +255,7 @@ def test_record_sups_skip_round_off_cells(d_x, monkeypatch):
         return coefficient_pass(*args)
     monkeypatch.setattr(landau.diagnostics, "coefficient_pass", pass_over)
     rec = make_record(f, p, 0.2, pullback_sharp(f), ENormAccumulator(), 0.0)
-    assert visited == list(range(0, cells.shape[0], 2))
+    assert visited == list(range(0, cells.shape[0], 4))
     coeffs = compute_coefficients(f, p)
     vb = bracket(g.v_squared())
     sups = coefficient_sup_norms(coeffs, p.gamma, vb, bracket(g.x_minus_tv_squared(f.time)))

@@ -2,13 +2,17 @@
 
 import math
 import os
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import landau.coefficients
-from landau.coefficients import block_cells, compute_coefficients, distinct_a_bar, kernel_tables
+import landau.threads
+from landau.coefficients import (CLIP_REL_TOL, block_cells, cell_view, compute_coefficients,
+                                 data_cells, distinct_a_bar, kernel_tables)
 from landau.collision import apply_collision_divergence
 from landau.config import SimulationConfig, initial_data
 from landau.diagnostics import conserved_moments
@@ -96,6 +100,82 @@ def test_blocked_rhs_is_the_full_field_operator(d_x, d_v, monkeypatch):
     rhs_ab, maxima_ab = _collision_rhs(vals, g, p)
     assert np.array_equal(rhs_ab, rhs)
     assert maxima_ab == [None] * len(maxima)
+
+
+@pytest.fixture(scope="module", params=["near_vacuum", "clipped"])
+def skipping_field(request):
+    """A stepped field whose tails hold cells that data_cells skips, and its full-field Q.
+
+    near_vacuum: the bench near_vacuum (criterion 8) data after one Strang
+    step.  clipped: O(1) data after a step of 51 RK2 sub-cycles that clips,
+    whose tails hold the clip's ringing.
+    """
+    if request.param == "near_vacuum":
+        cfg = _small_cfg(n_x=128, n_v=64, L_x=900.0,
+                         initial_parameters={"x_width": 3.5 * 900.0 / 128, "v_width": 1.0})
+        dt = 0.25
+    else:
+        cfg = _small_cfg(epsilon=1.0, n_x=48, n_v=32, L_x=300.0,
+                         initial_parameters={"x_width": 3.0 * 300.0 / 48, "v_width": 1.0})
+        dt = 0.05
+    p = cfg.kernel_params()
+    state = RunState()
+    f = strang_step(initial_data(cfg), dt, p, cfg.cfl_safety, state)
+    coeffs = compute_coefficients(f, p)
+    amax = float(np.max([np.max(np.abs(comp)) for comp in distinct_a_bar(coeffs)]))
+    cmax = float(np.max(np.abs(coeffs.c_bar)))
+    return dict(kind=request.param, f=f, p=p, dt=dt, clipped=state.clipped_mass,
+                q=apply_collision_divergence(f.values, coeffs, f.grid), amax=amax, cmax=cmax)
+
+
+def test_skipped_cells_hold_updates_below_the_clip_floor(skipping_field):
+    # h |Q| in a skipped cell is below the round-off of the clip, CLIP_REL_TOL
+    # of the peak, though some of those cells hold more than CLIP_REL_TOL
+    f, dt = skipping_field["f"], skipping_field["dt"]
+    g = f.grid
+    if skipping_field["kind"] == "clipped":
+        assert skipping_field["clipped"] > 0.0
+    cell_max = np.max(cell_view(f.values, g), axis=(1, 2))
+    peak = float(np.max(cell_max))
+    skipped = np.setdiff1d(np.arange(len(cell_max)), data_cells(f.values, g))
+    assert 0 < len(skipped) < len(cell_max)
+    assert np.any(cell_max[skipped] >= CLIP_REL_TOL * peak)
+    dt_cfl = _collision_dt(skipping_field["amax"], skipping_field["cmax"], g, 0.5)
+    h = dt / math.ceil(dt / dt_cfl)
+    assert h * np.max(np.abs(cell_view(skipping_field["q"], g)[skipped])) <= CLIP_REL_TOL * peak
+
+
+def test_blocked_rhs_is_the_full_field_operator_on_data_cells(skipping_field):
+    f = skipping_field["f"]
+    g = f.grid
+    rhs, maxima = _collision_rhs(f.values, g, skipping_field["p"], with_c=True)
+    cells = data_cells(f.values, g)
+    skipped = np.setdiff1d(np.arange(cell_view(rhs, g).shape[0]), cells)
+    assert np.array_equal(cell_view(rhs, g)[cells], cell_view(skipping_field["q"], g)[cells])
+    assert np.all(cell_view(rhs, g)[skipped] == 0.0)
+    amax, cmax = skipping_field["amax"], skipping_field["cmax"]
+    assert tuple(np.max(maxima, axis=0)) == (amax, cmax)
+    assert _collision_dt(*np.max(maxima, axis=0), g, 0.5) == _collision_dt(amax, cmax, g, 0.5)
+
+
+def test_skipping_rhs_does_not_depend_on_threads_or_blocks(skipping_field, monkeypatch):
+    # one-cell blocks, blocks of 8 cells and the default, on 1 and 7 threads
+    f, p = skipping_field["f"], skipping_field["p"]
+    g = f.grid
+    want, want_maxima = _collision_rhs(f.values, g, p, with_c=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for points in (1, 8 * g.n_v ** 2):
+            monkeypatch.setattr(landau.coefficients, "BLOCK_POINTS", points)
+            for threads in (1, 7):
+                with ThreadPoolExecutor(threads) as pool:
+                    monkeypatch.setattr(landau.threads, "_POOL", pool)
+                    rhs, maxima = _collision_rhs(f.values, g, p, with_c=True)
+                assert np.array_equal(rhs, want)
+                assert np.max(maxima, axis=0).tolist() == np.max(want_maxima, axis=0).tolist()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_collision_substep_peak_is_a_few_fields(monkeypatch):
