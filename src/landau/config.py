@@ -112,23 +112,29 @@ def _padded_vector(params, key, default, d):
 
 
 def _x_gaussian(grid, center, width):
-    """prod_a exp(-((x_a - center) / width)^2) over the spatial axes."""
-    vals = np.ones(grid.shape)
+    """prod_a exp(-((x_a - center) / width)^2) over the spatial axes, of shape
+    (n_x,)*d_x + (1,)*d_v."""
+    vals = np.ones((grid.n_x,) * grid.d_x + (1,) * grid.d_v)
     for xm in grid.x_mesh():
         vals = vals * np.exp(-((xm - center) / width) ** 2)
     return vals
 
 
-def _v_exponent(grid, u, width):
-    """sum_a ((v_a - u_a) / width)^2 over the velocity axes."""
-    tot = np.zeros(grid.shape)
+def _v_gaussian(grid, u, width):
+    """exp(-sum_a ((v_a - u_a) / width)^2) over the velocity axes, of shape
+    (1,)*d_x + (n_v,)*d_v."""
+    tot = np.zeros((1,) * grid.d_x + (grid.n_v,) * grid.d_v)
     for a, vm in enumerate(grid.v_mesh()):
         tot = tot + ((vm - u[a]) / width) ** 2
-    return tot
+    return np.exp(-tot)
 
 
 def initial_data(cfg: SimulationConfig):
-    """Build the initial DistributionField for a config."""
+    """Build the initial DistributionField for a config.
+
+    The Gaussian and seed kinds are a product of a factor in x and one in v,
+    each built on its own axes, so only the product spans the grid.
+    """
     grid = cfg.grid()
     params = dict(cfg.initial_parameters)
     if cfg.initial_kind in ("gaussian", "seed"):
@@ -136,15 +142,14 @@ def initial_data(cfg: SimulationConfig):
         v_width = float(params.get("v_width", 1.0))
         if cfg.initial_kind == "gaussian":
             drift = _padded_vector(params, "drift", [], grid.d_v)
-            vals = _x_gaussian(grid, float(params.get("x_center", 0.0)), x_width)
-            vals = vals * np.exp(-_v_exponent(grid, drift, v_width))
+            vals = (_x_gaussian(grid, float(params.get("x_center", 0.0)), x_width)
+                    * _v_gaussian(grid, drift, v_width))
         else:
             # Two separated velocity bumps: deliberately far from any single
             # traveling Maxwellian, the generic non-Maxwellian seed.
             u = _padded_vector(params, "bump_velocity", [2.0], grid.d_v)
-            vals = _x_gaussian(grid, 0.0, x_width)
-            vals = vals * (np.exp(-_v_exponent(grid, u, v_width))
-                           + np.exp(-_v_exponent(grid, -u, v_width)))
+            vals = _x_gaussian(grid, 0.0, x_width) * (_v_gaussian(grid, u, v_width)
+                                                       + _v_gaussian(grid, -u, v_width))
     elif cfg.initial_kind == "maxwellian":
         d = grid.d_v
         b = np.array(params.get("B", np.zeros((d, d))), dtype=float)
@@ -211,7 +216,10 @@ def validate_config(cfg: SimulationConfig, data: DistributionField = None):
         raise ConfigInvalid("cfl_safety", "cfl_safety must lie in (0, 1]")
     if cfg.t_final < 0.0 or cfg.dt_max <= 0.0 or cfg.output_every <= 0.0:
         raise ConfigInvalid("time", "time controls must be positive")
-    grid = cfg.grid()  # raises on malformed grid numbers
+    try:
+        cfg.grid()
+    except ValueError as exc:  # malformed grid numbers
+        raise ConfigInvalid("grid", str(exc)) from exc
     if data is None and cfg.epsilon > 0.0:
         data = initial_data(cfg)
     if data is not None and cfg.epsilon > 0.0:

@@ -16,24 +16,13 @@ from .coefficients import cell_view, coefficient_pass, coefficient_sup_norms, da
 from .collision import apply_collision_diffusion, h_functional
 from .errors import GammaOutOfRange, GridMismatch, InsufficientPoints, NonPositiveValue
 from .phase_state import DistributionField, Grid, WeightSpec, bracket, gaussian_weight_field
-from .threads import pool
+from .threads import pool, slab_rows
 from .transport import pullback_sharp
 
 # The record's derivatives d_x^alpha d_v^beta Y^sigma of g, each with its
 # NDJSON key: (key, alpha, beta, sigma).  None differentiates an x axis more
 # than once, or any x axis but the first, which record_slabs relies on.
 RECORD_ORDERS = (("abs", (), (), ()), ("ab1s", (), (1,), ()), ("abs1", (), (), (1,)))
-# Phase-space points per slab of the record's slab pass, rounded down to whole
-# rows of the first x axis, at least one row.  The size depends on the grid
-# alone, so the record does not depend on the number of threads.  A slab's
-# temporaries live in its worker thread's malloc arena, and larger slabs grow
-# the arenas past what a coefficient block needs: after 5 near_vacuum bench
-# rounds the process peaked at 89.0 MB RSS with slabs of 2^16 points and 94.7
-# MB with 2^17, and at 88.2 and 88.1 MB with one arena (MALLOC_ARENA_MAX=1).
-# On 2 threads (medians of 15 records at t = 0.5), 2^16 points took 414-479
-# ms against 381-422 ms on the free_stream bench grid, where a slab is one row
-# and its halo two more, and 65-73 ms against 70-80 ms on near_vacuum's.
-SLAB_POINTS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -256,26 +245,25 @@ def null_structure_gain(plain_series, weighted_series, window=None):
 def record_slabs(grid: Grid):
     """(rows, halo, inner, cells) of each slab of the record's slab pass.
 
-    rows is a slice of the first spatial axis: SLAB_POINTS of phase space in
-    whole rows, the last slab partial.  halo widens rows by the rows that a
-    first difference in x_1 reads, np.gradient's one-sided stencil at the box
-    edges included, inner picks rows out of halo, and cells is rows as a slice
-    of the flat cell axis.  With d_x = 0, one slab holds the field.
+    rows is a slab of threads.slab_rows, a slice of the first spatial axis.
+    halo widens rows by the rows that a first difference in x_1 reads,
+    np.gradient's one-sided stencil at the box edges included, inner picks
+    rows out of halo, and cells is rows as a slice of the flat cell axis.
+    With d_x = 0, one slab holds the field.
     """
     if grid.d_x == 0:
         return [(slice(None),) * 4]
     n = grid.n_x
     row_cells = n ** (grid.d_x - 1)
-    size = max(1, SLAB_POINTS // (row_cells * grid.n_v ** grid.d_v))
     slabs = []
-    for lo in range(0, n, size):
-        hi = min(n, lo + size)
+    for rows in slab_rows(grid):
+        lo, hi = rows.start, rows.stop
         hlo, hhi = max(0, lo - 1), min(n, hi + 1)
         if lo == 0:
             hhi = max(hhi, min(n, 3))
         if hi == n:
             hlo = min(hlo, max(0, n - 3))
-        slabs.append((slice(lo, hi), slice(hlo, hhi), slice(lo - hlo, hi - hlo),
+        slabs.append((rows, slice(hlo, hhi), slice(lo - hlo, hi - hlo),
                       slice(lo * row_cells, hi * row_cells)))
     return slabs
 

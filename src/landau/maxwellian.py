@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ConstraintViolated, ZeroMass
 from .phase_state import DistributionField, Grid
+from .threads import pool, slab_rows
 
 FIT_MAX_STEPS = 100  # trial steps (model evaluations) of fit_maxwellian before it gives up
 FIT_RTOL = 1e-12  # relative decrease of the residual, or relative step, that ends the fit
@@ -121,15 +122,37 @@ class MaxwellianFit:
     converged: bool
 
 
-def _second_moments(field: DistributionField, mass):
-    """Raw second-moment matrix of u = (v, x) under the field."""
-    grid = field.grid
+def _rows(a, rows):
+    """The rows of a's first axis, or a itself where that axis broadcasts."""
+    return a if a.shape[0] == 1 else a[rows]
+
+
+def _slab_sums(part, grid: Grid):
+    """The sums over the slabs of threads.slab_rows of part(rows), a tuple of
+    numbers or arrays; the slabs run on the pool and add up in slab order."""
+    return [sum(pieces) for pieces in zip(*pool().map(part, slab_rows(grid)))]
+
+
+def _moments(field: DistributionField):
+    """Mass, squared L2 norm and the integrals of u_i u_j f, u = (v, x), of the
+    field f, in one slab pass."""
+    grid, values = field.grid, field.values
     coords = grid.v_mesh() + grid.x_mesh()
-    cov = np.empty((len(coords), len(coords)))
-    for i in range(len(coords)):
-        for j in range(i, len(coords)):
-            cov[i, j] = cov[j, i] = float(np.sum(field.values * coords[i] * coords[j]))
-    return cov * grid.cell_volume / mass
+
+    def part(rows):
+        # np.sum's pairwise sums: an in-family fit ends at its round-off
+        # residual, which a start summed by np.einsum moved by 6e-3 relative
+        fs = values[rows]
+        cs = [_rows(c, rows) for c in coords]
+        cov = np.empty((len(cs), len(cs)))
+        for i in range(len(cs)):
+            for j in range(i, len(cs)):
+                cov[i, j] = cov[j, i] = np.sum(fs * cs[i] * cs[j])
+        return np.sum(fs), np.sum(fs * fs), cov
+
+    total, square, cov = _slab_sums(part, grid)
+    vol = grid.cell_volume
+    return float(total) * vol, float(square) * vol, cov * vol
 
 
 def _project_params(mass, cov, d, d_x):
@@ -168,41 +191,50 @@ def fit_maxwellian(sharp_field: DistributionField):
     residual by at most FIT_RTOL of it, or a trial step moved the weighted model
     by at most FIT_RTOL of its norm (round-off reached); not converged: the
     FIT_MAX_STEPS trials ran out.  A feature that is 0 on the grid keeps its start.
+
+    The start's moments and each model evaluation are one slab pass on the
+    pool of threads (threads.slab_rows), whose sums the calling thread adds in
+    slab order: the fit does not depend on the number of threads, and the slab
+    size moves it within round-off.
     """
     grid = sharp_field.grid
     values = sharp_field.values
-    mass = float(np.sum(values)) * grid.cell_volume
-    norm = math.sqrt(float(np.sum(values ** 2)) * grid.cell_volume)
-    if mass <= 1e-12 * max(norm, 1e-300) or mass <= 0.0:
+    mass, square, moments = _moments(sharp_field)
+    if mass <= 1e-12 * max(math.sqrt(square), 1e-300) or mass <= 0.0:
         raise ZeroMass("cannot fit a traveling Maxwellian to (near) zero mass data")
 
     d, d_x = grid.d_v, grid.d_x
     try:
-        start = _project_params(mass, _second_moments(sharp_field, mass), d, d_x)
+        start = _project_params(mass, moments / mass, d, d_x)
         start.validate(d_x)
     except (ConstraintViolated, np.linalg.LinAlgError):
         start = TravelingMaxwellianParams(mass, 1.0, 1.0, 0.0, np.zeros((d, d)))
-    feats = _features(grid)
     # d log M-sharp / d eta, each with the field's axes (the x features are the scalar 0 at d_x = 0)
     columns = [np.full((1,) * values.ndim, psi) if np.ndim(psi) == 0 else psi
-               for psi in [1.0] + feats]
+               for psi in [1.0] + _features(grid)]
     w = (1.0 + sum(v * v for v in grid.v_mesh())) * (1.0 + sum(x * x for x in grid.x_mesh()))
     wf = values * w
     sub = "abcdef"[:values.ndim]
     two, three = f"{sub},{sub}->", f"{sub},{sub},{sub}->"  # sums of products, no temporaries
+    n = len(columns)
 
     def evaluate(eta):
-        """|r|^2, J^T J and J^T r of r = w (f_sharp - M_sharp), J_k = w M_sharp psi_k."""
-        wm = math.exp(eta[0]) * np.exp(sum(c * psi for c, psi in zip(eta[1:], feats)))
-        wm *= w
-        wr = wf - wm
-        g, h = wm * wm, wm * wr
-        jtj = np.empty((len(eta), len(eta)))
-        for k, psi in enumerate(columns):
-            for j in range(k, len(eta)):
-                jtj[k, j] = jtj[j, k] = np.einsum(three, g, psi, columns[j])
-        jtr = np.array([np.einsum(two, h, psi) for psi in columns])
-        return float(np.einsum(two, wr, wr)), jtj, jtr
+        """|r|^2, J^T J and J^T r of r = w (f_sharp - M_sharp), J_k = w M_sharp psi_k,
+        in one slab pass."""
+        def part(rows):
+            cols = [_rows(psi, rows) for psi in columns]
+            wm = math.exp(eta[0]) * np.exp(sum(c * psi for c, psi in zip(eta[1:], cols[1:])))
+            wm *= _rows(w, rows)
+            wr = _rows(wf, rows) - wm
+            g, h = wm * wm, wm * wr
+            jtj = np.empty((n, n))
+            for k in range(n):
+                for j in range(k, n):
+                    jtj[k, j] = jtj[j, k] = np.einsum(three, g, cols[k], cols[j])
+            return np.einsum(two, wr, wr), jtj, np.array([np.einsum(two, h, psi) for psi in cols])
+
+        cost, jtj, jtr = _slab_sums(part, grid)
+        return float(cost), jtj, jtr
 
     eta = np.array([math.log(start.prefactor(d_x))] + _coords(start, d_x))
     cost, jtj, jtr = evaluate(eta)
@@ -210,7 +242,7 @@ def fit_maxwellian(sharp_field: DistributionField):
     for _ in range(FIT_MAX_STEPS):
         scale = np.sqrt(np.diag(jtj))
         scale[scale == 0.0] = 1.0
-        damped = jtj / np.outer(scale, scale) + lam * np.eye(len(eta))
+        damped = jtj / np.outer(scale, scale) + lam * np.eye(n)
         step = np.linalg.lstsq(damped, jtr / scale, rcond=None)[0] / scale
         trial = evaluate(eta + step)
         if trial[0] < cost:

@@ -248,6 +248,18 @@ def test_cli_error_exit_code(tmp_path):
     assert main(["run", "--config", missing, "--quiet"]) == 1
 
 
+@pytest.mark.parametrize("key", ["n_v", "v_max"])
+def test_cli_run_refuses_a_malformed_grid(tmp_path, capsys, key):
+    path = _write_cfg(tmp_path)
+    raw = json.loads(open(path).read())
+    raw["grid"][key] = 0
+    with open(path, "w") as fh:
+        json.dump(raw, fh)
+    assert main(["run", "--config", path, "--quiet"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ConfigInvalid: grid: ")
+
+
 @pytest.mark.parametrize("text, error", [
     ("", "InsufficientPoints: "),
     ("\n\n", "InsufficientPoints: "),

@@ -131,6 +131,45 @@ def test_initial_data_kinds():
     assert marg[mid:].max() > 0.5 * marg.max()
 
 
+@pytest.mark.parametrize("key", ["n_v", "v_max"])
+def test_malformed_grid_raises_config_invalid(key):
+    raw = _base_dict()
+    raw["grid"][key] = 0
+    with pytest.raises(ConfigInvalid) as exc:
+        config_from_dict(raw)
+    assert exc.value.gate == "grid"
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "seed"])
+@pytest.mark.parametrize("d_x", [0, 1, 2])
+def test_initial_data_is_bitwise_the_full_grid_construction(kind, d_x):
+    # the x and v factors on their own axes give the field that full-grid
+    # factors multiplied cell by cell give
+    par = {"x_width": 7.3, "v_width": 0.9, "x_center": 1.7, "drift": [0.31, -0.2],
+           "bump_velocity": [2.0, 0.4]}
+    cfg = SimulationConfig(gamma=-1.0, d0=0.2, epsilon=1e-3, d_x=d_x, d_v=2, n_x=12, n_v=10,
+                           L_x=60.0, v_max=6.0, t_final=0.0, initial_kind=kind,
+                           initial_parameters=par)
+    grid = cfg.grid()
+    xs = np.ones(grid.shape)
+    for xm in grid.x_mesh():
+        xs = xs * np.exp(-((xm - (par["x_center"] if kind == "gaussian" else 0.0)) / 7.3) ** 2)
+
+    def v_factor(u):
+        tot = np.zeros(grid.shape)
+        for a, vm in enumerate(grid.v_mesh()):
+            tot = tot + ((vm - u[a]) / 0.9) ** 2
+        return np.exp(-tot)
+    if kind == "gaussian":
+        want = xs * v_factor(np.array(par["drift"]))
+    else:
+        u = np.array(par["bump_velocity"])
+        want = xs * (v_factor(u) + v_factor(-u))
+    got = initial_data(cfg).values
+    assert got.shape == grid.shape
+    assert np.array_equal(got, 1e-3 * want)
+
+
 def test_unknown_initial_kind():
     cfg = config_from_dict(_base_dict())
     cfg.initial_kind = "vortex"

@@ -282,7 +282,7 @@ def test_record_does_not_depend_on_slabs_or_threads(d_x, n_x, monkeypatch):
     row = n_x ** (d_x - 1) * g.n_v ** 2
     records = []
     for rows in (n_x, 1, 2):
-        monkeypatch.setattr(landau.diagnostics, "SLAB_POINTS", rows * row)
+        monkeypatch.setattr(landau.threads, "SLAB_POINTS", rows * row)
         assert len(record_slabs(g)) == -(-n_x // rows)
         for threads in (1, 2):
             with ThreadPoolExecutor(threads) as pool:
@@ -324,7 +324,7 @@ def test_record_takes_each_weight_and_derivative_once(monkeypatch):
     monkeypatch.setattr(Grid, "x_minus_tv_squared", picked)
     cfg = _record_cfg(0.0)
     # 48 x cells of 16^2 velocity points: slabs of 5 rows, the last partial
-    monkeypatch.setattr(landau.diagnostics, "SLAB_POINTS", 5 * 16 ** 2)
+    monkeypatch.setattr(landau.threads, "SLAB_POINTS", 5 * 16 ** 2)
     records = run(cfg).records  # t_final = 0: no step, one record
     assert len(records) == 1
     assert counts["apply_derivatives"] == 3 * len(record_slabs(cfg.grid())) == 3 * 10

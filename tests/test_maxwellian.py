@@ -1,13 +1,17 @@
 """Traveling Maxwellian family: constraints, evaluation, moment fit."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import landau.threads
 from landau.cli import main, save_checkpoint
+from landau.config import SimulationConfig, initial_data
 from landau.errors import ConstraintViolated, ZeroMass
 from landau.maxwellian import (MaxwellianFit, TravelingMaxwellianParams,
                                eval_maxwellian, fit_maxwellian,
@@ -161,3 +165,61 @@ def test_fit_keeps_features_that_vanish_on_the_grid(tmp_path, capsys):
     save_checkpoint(path, field, -1.0)
     assert main(["maxfit", path]) == 0
     assert "converged True" in capsys.readouterr().out
+
+
+def _slab_fields():
+    """Fields of 3, 6 and 3 default slabs: in-family at d_x = 1 and d_x = d_v = 2,
+    and the two-bump seed, whose beta and B are 0 by symmetry."""
+    one = maxwellian_sharp_field(_params_2d(m=1.0, alpha=1.1, sigma=0.8, beta=0.2, b01=0.15),
+                                 Grid(1, 2, 192, 32, 26.0, 7.0))
+    two = maxwellian_sharp_field(_params_2d(m=1.7, alpha=1.2, sigma=0.9, beta=0.25, b01=0.3),
+                                 Grid(2, 2, 24, 24, 26.0, 7.0))
+    seed = initial_data(SimulationConfig(
+        gamma=-1.0, d0=0.2, epsilon=1e-3, d_x=1, d_v=2, n_x=192, n_v=32, L_x=200.0,
+        v_max=8.0, t_final=0.0, initial_kind="seed",
+        initial_parameters={"x_width": 10.0, "v_width": 1.0, "bump_velocity": [2.0]}))
+    return {"d_x=1": (one, False), "d_x=d_v=2": (two, False), "two_bump": (seed, True)}
+
+
+def _fit_tuple(fit):
+    p = fit.params
+    return (p.m, p.alpha, p.sigma, p.beta, p.B.tolist(), fit.residual, fit.converged)
+
+
+@pytest.mark.parametrize("name", ["d_x=1", "d_x=d_v=2", "two_bump"])
+def test_fit_does_not_depend_on_the_threads(name, monkeypatch):
+    field, _ = _slab_fields()[name]
+    assert len(landau.threads.slab_rows(field.grid)) > 1
+    fits = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 7):
+            with ThreadPoolExecutor(threads) as pool:
+                monkeypatch.setattr(landau.threads, "_POOL", pool)
+                fits.append(_fit_tuple(fit_maxwellian(field)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert fits[0] == fits[1]
+
+
+@pytest.mark.parametrize("name", ["d_x=1", "d_x=d_v=2", "two_bump"])
+def test_fit_slabs_move_it_within_round_off(name, monkeypatch):
+    # the slabs' sums against one slab over the whole field
+    field, symmetric = _slab_fields()[name]
+    assert len(landau.threads.slab_rows(field.grid)) > 1
+    slabs = fit_maxwellian(field)
+    monkeypatch.setattr(landau.threads, "SLAB_POINTS", field.values.size)
+    assert len(landau.threads.slab_rows(field.grid)) == 1
+    whole = fit_maxwellian(field)
+    assert slabs.converged and whole.converged
+    for got, want in [(slabs.params.m, whole.params.m), (slabs.params.alpha, whole.params.alpha),
+                      (slabs.params.sigma, whole.params.sigma), (slabs.residual, whole.residual)]:
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+    sigma = whole.params.sigma
+    for got, want in [(slabs.params.beta, whole.params.beta),
+                      (slabs.params.B[1, 0], whole.params.B[1, 0])]:
+        if symmetric:
+            assert abs(got) <= 1e-14 * sigma and abs(want) <= 1e-14 * sigma
+        else:
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
