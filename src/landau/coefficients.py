@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeInput
-from .kernel import KernelParams, cell_averaged_kernel, kernel_c, kernel_divergence, kernel_matrix, SINGULAR_CELL_RADIUS
+from .kernel import KernelParams, cell_averages, kernel_c, kernel_divergence, kernel_matrix, SINGULAR_CELL_RADIUS
 from .phase_state import DistributionField, Grid
 from .threads import pool
 
@@ -75,10 +75,9 @@ def kernel_tables(grid: Grid, p: KernelParams):
 
     # Replace midpoint values by exact cell averages near the singularity.
     near = np.flatnonzero(np.sqrt(r2) < SINGULAR_CELL_RADIUS * dv)
-    for idx in near:
-        amat[idx] = cell_averaged_kernel(z[idx], dv, p, "matrix")
-        bvec[idx] = cell_averaged_kernel(z[idx], dv, p, "divergence")
-        cval[idx] = cell_averaged_kernel(z[idx], dv, p, "c")
+    amat[near] = cell_averages(z[near], dv, p, "matrix")
+    bvec[near] = cell_averages(z[near], dv, p, "divergence")
+    cval[near] = cell_averages(z[near], dv, p, "c")
 
     lattice_shape = (2 * n - 1,) * d
     tables = {}

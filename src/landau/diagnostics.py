@@ -19,10 +19,10 @@ from .phase_state import DistributionField, Grid, WeightSpec, bracket, gaussian_
 from .threads import pool, slab_rows
 from .transport import pullback_sharp
 
-# The record's derivatives d_x^alpha d_v^beta Y^sigma of g, each with its
-# NDJSON key: (key, alpha, beta, sigma).  None differentiates an x axis more
-# than once, or any x axis but the first, which record_slabs relies on.
-RECORD_ORDERS = (("abs", (), (), ()), ("ab1s", (), (1,), ()), ("abs1", (), (), (1,)))
+# The record's derivatives of g by NDJSON key, with their orders (|beta|,
+# |sigma|) in d_v^beta Y^sigma: g itself, d_v1 g and Y_1 g
+# (record_derivatives), in the order they are taken.
+RECORD_ORDERS = {"abs": (0, 0), "ab1s": (1, 0), "abs1": (0, 1)}
 
 
 @dataclass(frozen=True)
@@ -98,39 +98,43 @@ class DiagnosticRecord:
     clipped_mass: float
 
 
-def _diff(values, spacing, axis, order):
-    out = values
-    for _ in range(order):
-        out = np.gradient(out, spacing, axis=axis, edge_order=2)
+def _difference(values, spacing, axis):
+    """Centred first difference along axis, one-sided (second order) at its ends."""
+    return np.gradient(values, spacing, axis=axis, edge_order=2)
+
+
+def _x1_difference(values, spacing, rows):
+    """_difference(values, spacing, 0)[rows], computed on those rows alone."""
+    lo, hi, _ = rows.indices(len(values))
+    out = np.empty_like(values[lo:hi])
+    a, b = max(lo, 1), min(hi, len(values) - 1)
+    out[a - lo:b - lo] = (values[a + 1:b + 1] - values[a - 1:b - 1]) / (2.0 * spacing)
+    if lo == 0:
+        out[0] = _difference(values[:3], spacing, 0)[0]
+    if hi == len(values):
+        out[-1] = _difference(values[-3:], spacing, 0)[-1]
     return out
 
 
-def apply_derivatives(values, grid: Grid, t, alpha, beta, sigma):
-    """d_x^alpha d_v^beta Y^sigma of values at time t, Y_a = t d_x_a + d_v_a.
+def record_derivatives(g, grid: Grid, t, rows=slice(None)):
+    """Yield (key, derivative) of g at time t for the keys of RECORD_ORDERS, in order.
 
-    values has the grid's shape, or is a slab of it: a range of rows of the
-    first spatial axis, whose first and last rows take one-sided differences
-    in x_1.  alpha indexes spatial axes (length d_x), beta and sigma velocity
-    axes (length d_v); for an axis without a spatial partner, Y reduces to d_v.
-    Centered differences throughout.
+    The derivatives are g itself, d_v1 g, and Y_1 g = t d_x1 g + d_v1 g
+    (d_v1 g when d_x = 0), on the rows of g's first axis that rows picks.  g
+    has the grid's shape, or is a slab of it: a range of rows of the first
+    spatial axis holding rows and the rows next to them that the x_1
+    difference reads, whose first and last rows take one-sided differences
+    in x_1.  Centred differences throughout; d_v1 is taken once, on rows
+    alone.  Each derivative is built when the caller asks for the next one,
+    so a caller that handles one at a time holds one at a time.
     """
-    alpha = tuple(alpha) + (0,) * (grid.d_x - len(tuple(alpha)))
-    beta = tuple(beta) + (0,) * (grid.d_v - len(tuple(beta)))
-    sigma = tuple(sigma) + (0,) * (grid.d_v - len(tuple(sigma)))
-    out = values
-    for a, order in enumerate(sigma):
-        for _ in range(order):
-            term = _diff(out, grid.dv, grid.d_x + a, 1)
-            if a < grid.d_x:
-                term = term + t * _diff(out, grid.dx, a, 1)
-            out = term
-    for a, order in enumerate(beta):
-        if order:
-            out = _diff(out, grid.dv, grid.d_x + a, order)
-    for a, order in enumerate(alpha):
-        if order:
-            out = _diff(out, grid.dx, a, order)
-    return out
+    own = g[rows]
+    yield "abs", own
+    dg = _difference(own, grid.dv, grid.d_x)
+    yield "ab1s", dg
+    if grid.d_x:
+        dg = dg + t * _x1_difference(g, grid.dx, rows)
+    yield "abs1", dg
 
 
 def z_norm(dg, vb, xw, t, beta, zeta, theta):
@@ -307,14 +311,13 @@ def make_record(f: DistributionField, p, d0, sharp0: DistributionField, acc, cli
         xtb = bracket(grid.x_minus_tv_squared(t, cells)).reshape(fs.shape)
         z_norms, e_norms = {}, {}
         power = None
-        for key, alpha, beta, sigma in RECORD_ORDERS:
-            k = sum(alpha) + sum(beta) + sum(sigma)
-            dg = apply_derivatives(g, grid, t, alpha, beta, sigma)[inner]
-            if power != hp.M_max + 5 - sum(sigma):  # the orders come sorted by |sigma|
-                power = hp.M_max + 5 - sum(sigma)
+        for key, dg in record_derivatives(g, grid, t, inner):
+            nb, ns = RECORD_ORDERS[key]
+            if power != hp.M_max + 5 - ns:  # the orders come sorted by |sigma|
+                power = hp.M_max + 5 - ns
                 xw = xtb ** power
-            z_norms[key] = z_norm(dg, vb, xw, t, sum(beta), hp.zeta[k], hp.theta[k])
-            e_norms[key] = e_norm(dg, xw, t, sum(beta), vol)
+            z_norms[key] = z_norm(dg, vb, xw, t, nb, hp.zeta[nb + ns], hp.theta[nb + ns])
+            e_norms[key] = e_norm(dg, xw, t, nb, vol)
             if key == "abs":
                 # ||<v> <x-tv>^(M_max+5) g||, whose square the L2_t integrand takes
                 e_norms["abs_Lt2"] = e_norm(dg, vb * xw, t, 0, vol)

@@ -16,6 +16,11 @@ from .errors import GammaOutOfRange, SingularPoint
 # Adaptive cell-average quadrature controls.
 QUAD_REL_TOL = 1e-8
 QUAD_MAX_DEPTH = 24
+# Nodes per kernel call of the quadrature.  A level's boxes are evaluated in
+# chunks of whole boxes, which bounds the temporaries: building the d = 3,
+# n_v = 5, gamma = -1.9 tables peaks 2 MB higher in 2^12-node chunks, 3.5 MB
+# in 2^13 (15% faster) and 29 MB in 2^16.
+QUAD_CHUNK_NODES = 2 ** 12
 SINGULAR_CELL_RADIUS = 2.0  # in units of max spacing
 
 
@@ -84,87 +89,112 @@ _GL_NODES = 0.5 * (_GL_NODES + 1.0)   # mapped to [0, 1]
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 
 
-def _box_rule(f, lo, hi):
-    """Tensor 4-point Gauss-Legendre estimate of the integral over [lo, hi]."""
-    d = lo.size
-    axes = [lo[a] + (hi[a] - lo[a]) * _GL_NODES for a in range(d)]
-    pts = np.array(np.meshgrid(*axes, indexing="ij")).reshape(d, -1).T
+def _corners(d, base):
+    """The base^d multi-indices in meshgrid "ij" order, shape (base^d, d)."""
+    return np.array(np.meshgrid(*([np.arange(base)] * d), indexing="ij")).reshape(d, -1).T
+
+
+def _box_rules(f, lo, hi, sign, ncomp):
+    """Tensor 4-point Gauss-Legendre estimates of the integrals over the boxes [lo, hi].
+
+    lo, hi and sign have shape (boxes, d); f is evaluated at sign * z, so a box
+    reflected into the positive orthant integrates the original integrand.
+    The kernel is called on whole boxes, QUAD_CHUNK_NODES nodes at a time (at
+    least one box).  Each box's estimate is the same for any chunking.
+    """
+    m, d = lo.shape
+    node = _corners(d, _GL_NODES.size)
     w = _GL_WEIGHTS
     for _ in range(d - 1):
         w = np.multiply.outer(w, _GL_WEIGHTS)
-    vol = float(np.prod(hi - lo))
-    return np.sum(w.reshape(-1, 1) * f(pts), axis=0) * vol
+    w = w.reshape(-1)
+    per_call = max(1, QUAD_CHUNK_NODES // len(node))
+    out = np.empty((m, ncomp))
+    for start in range(0, m, per_call):
+        s = slice(start, start + per_call)
+        axes = lo[s, None, :] + (hi[s] - lo[s])[:, None, :] * _GL_NODES[:, None]
+        pts = np.stack([axes[:, node[:, a], a] for a in range(d)], axis=-1) * sign[s, None, :]
+        vals = f(pts.reshape(-1, d)).reshape(len(pts), len(node), ncomp)
+        # each component's weighted nodes contiguous: np.sum then adds them
+        # pairwise, in the order of the depth-first reference in the tests
+        terms = np.multiply(vals.transpose(0, 2, 1), w, order="C")
+        out[s] = np.sum(terms, axis=2) * np.prod(hi[s] - lo[s], axis=1)[:, None]
+    return out
 
 
-def _adaptive_box(f, lo, hi, ncomp, abs_tol=None, depth=0):
-    """Adaptive quadrature of f over the box [lo, hi] (integral, not average).
+def _adaptive_boxes(f, lo, hi, sign, ncomp):
+    """Adaptive quadrature of f over each root box [lo, hi] (integrals, not averages).
 
-    The integrand must be finite on the closed box.  Each box compares its
-    tensor Gauss-Legendre estimate with the sum over its 2^d children and
-    refines where they disagree; the absolute error budget is split among
-    children so the total error stays below QUAD_REL_TOL times the integral.
+    The integrand must be finite on the closed boxes.  Breadth first, one level
+    at a time: every open box compares its tensor Gauss-Legendre estimate with
+    the sum over its 2^d children and is split where they disagree.  A root's
+    absolute budget is QUAD_REL_TOL times its largest fine component, and each
+    level splits a box's budget evenly among its children, so a root's total
+    error stays below QUAD_REL_TOL times its integral.  A child's estimate is
+    its coarse estimate at the next level.  The leaves are summed in
+    depth-first order: each box adds its children's values in corner order.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    d = lo.size
-    coarse = _box_rule(f, lo, hi)
+    d = lo.shape[1]
+    kids = 2 ** d
+    corners = _corners(d, 2)
+    coarse = _box_rules(f, lo, hi, sign, ncomp)
+    tol = None
+    levels = []
+    for depth in range(QUAD_MAX_DEPTH + 1):
+        half = 0.5 * (hi - lo)
+        lo = (lo[:, None, :] + corners * half[:, None, :]).reshape(-1, d)
+        hi = lo + np.repeat(half, kids, axis=0)
+        sign = np.repeat(sign, kids, axis=0)
+        est = _box_rules(f, lo, hi, sign, ncomp)
+        fine = _sum_children(est, kids)
+        if tol is None:
+            tol = QUAD_REL_TOL * (np.max(np.abs(fine), axis=1) + 1e-300)
+        err = np.max(np.abs(fine - coarse), axis=1)
+        split = ~(err <= tol) & (depth < QUAD_MAX_DEPTH)
+        levels.append((fine, split))
+        if not split.any():
+            break
+        # the children of the split boxes, in (box, corner) order
+        child = np.repeat(split, kids)
+        lo, hi, sign, coarse = lo[child], hi[child], sign[child], est[child]
+        tol = np.repeat(tol[split] / kids, kids)
+    value = levels[-1][0]
+    for fine, split in reversed(levels[:-1]):
+        fine[split] = _sum_children(value, kids)
+        value = fine
+    return value
 
-    half = 0.5 * (hi - lo)
-    corners = np.array(np.meshgrid(*([[0, 1]] * d), indexing="ij")).reshape(d, -1).T
-    fine = np.zeros(ncomp)
-    for s in corners:
-        clo = lo + s * half
-        fine = fine + _box_rule(f, clo, clo + half)
 
-    if abs_tol is None:
-        abs_tol = QUAD_REL_TOL * (np.max(np.abs(fine)) + 1e-300)
-    err = np.max(np.abs(fine - coarse))
-    if depth >= QUAD_MAX_DEPTH or err <= abs_tol:
-        return fine
-    total = np.zeros(ncomp)
-    for s in corners:
-        clo = lo + s * half
-        total += _adaptive_box(f, clo, clo + half, ncomp, abs_tol / 2 ** d, depth + 1)
+def _sum_children(values, kids):
+    """Each run of kids rows of values summed in order from 0, shape (len // kids, ncomp)."""
+    values = values.reshape(-1, kids, values.shape[-1])
+    total = np.zeros((len(values), values.shape[-1]))
+    for k in range(kids):
+        total = total + values[:, k]
     return total
 
 
-def _corner_box_integral(f, hi, ncomp, homogeneity):
-    """Integral over [0, hi] of a homogeneous integrand singular only at 0.
+def cell_averages(centers, spacing, p: KernelParams, which="matrix"):
+    """Exact cell averages of the chosen kernel component over grid cells.
 
-    Scaling the box by 1/2 multiplies the integral by 2^-(d+p), so the full
-    integral is the (smooth-region) integral over box minus half-box divided by
-    1 - 2^-(d+p).  This sums the corner singularity exactly instead of chasing
-    it by subdivision.
+    centers has shape (cells, d) and spacing is a scalar or one value per
+    axis.  Returns shape (cells,) + the component's shape.  Cells within
+    SINGULAR_CELL_RADIUS spacings of z = 0 are integrated by one adaptive
+    quadrature (_adaptive_boxes) over all their boxes at once; a cell holding
+    the origin is split there into up to 2^d boxes, each reflected into the
+    positive orthant with its corner singularity summed in closed form via
+    homogeneity.  Farther cells use the midpoint value, accurate to
+    O(spacing^2).
     """
-    hi = np.asarray(hi, dtype=float)
-    d = hi.size
-    half = 0.5 * hi
-    shell = np.zeros(ncomp)
-    for s in np.array(np.meshgrid(*([[0, 1]] * d), indexing="ij")).reshape(d, -1).T:
-        if not np.any(s):
-            continue  # the inner half-box, handled by the scaling relation
-        lo = s * half
-        shell += _adaptive_box(f, lo, lo + half, ncomp)
-    return shell / (1.0 - 2.0 ** (-(d + homogeneity)))
-
-
-def cell_averaged_kernel(cell_center, spacing, p: KernelParams, which="matrix"):
-    """Exact cell average of the chosen kernel component over one grid cell.
-
-    Cells within SINGULAR_CELL_RADIUS spacings of z = 0 are integrated by
-    adaptive quadrature (the cell containing the origin is split at the origin
-    and its corner singularity summed in closed form via homogeneity); cells
-    farther out use the midpoint value, accurate to O(spacing^2).
-    """
-    center = np.atleast_1d(np.asarray(cell_center, dtype=float))
-    spacing = np.broadcast_to(np.asarray(spacing, dtype=float), center.shape).copy()
+    centers = np.asarray(centers, dtype=float).reshape(-1, p.d)
+    d = p.d
+    spacing = np.broadcast_to(np.asarray(spacing, dtype=float), (d,)).copy()
     if np.any(spacing <= 0.0):
         raise ValueError("cell spacing must be positive")
     if which not in _COMPONENTS:
         raise ValueError(f"unknown kernel component selector {which!r}")
     kernel, hom_shift = _COMPONENTS[which]
-    hom = p.gamma + hom_shift
-    shape = np.shape(kernel(np.ones(p.d), p))
+    shape = np.shape(kernel(np.ones(d), p))
     ncomp = int(np.prod(shape))
 
     def f(z):
@@ -172,35 +202,57 @@ def cell_averaged_kernel(cell_center, spacing, p: KernelParams, which="matrix"):
         # a corner, and far cells are evaluated at their center, so z != 0.
         return kernel(z, p).reshape(len(z), ncomp)
 
-    def reshape(flat):
-        return flat.reshape(shape) if shape else float(flat[0])
+    out = np.empty((len(centers), ncomp))
+    near = np.linalg.norm(centers, axis=1) < SINGULAR_CELL_RADIUS * np.max(spacing)
+    if not near.all():
+        out[~near] = f(centers[~near])
+    lo = centers - 0.5 * spacing
+    hi = centers + 0.5 * spacing
+    origin = near & np.all(lo <= 0.0, axis=1) & np.all(hi >= 0.0, axis=1)
+    whole = np.flatnonzero(near & ~origin)
 
-    if np.linalg.norm(center) >= SINGULAR_CELL_RADIUS * np.max(spacing):
-        return reshape(f(center[None, :])[0])
-
-    lo = center - 0.5 * spacing
-    hi = center + 0.5 * spacing
-    vol = float(np.prod(spacing))
-    if np.all(lo <= 0.0) and np.all(hi >= 0.0):
-        # Origin inside the cell (or on its boundary): split at the origin into
-        # up to 2^d boxes, each with the singularity at a corner.  Reflect
-        # negative-side boxes into the positive orthant so the homogeneous
-        # corner formula applies; the divergence component is odd under
-        # reflection, which the sign-composed evaluator accounts for.
-        d = center.size
-        total = np.zeros(ncomp)
-        for s in np.array(np.meshgrid(*([[0, 1]] * d), indexing="ij")).reshape(d, -1).T:
-            extent = np.where(s == 1, hi, -lo)
+    # The roots: each whole cell, then the 2^d - 1 shell boxes of each corner
+    # box [0, extent] of each cell holding the origin.  Scaling a corner box by
+    # 1/2 multiplies its integral by 2^-(d+p), so the corner integral is its
+    # shell's divided by 1 - 2^-(d+p).  The divergence is odd under
+    # reflection, which the sign-composed evaluator accounts for.
+    orthants = _corners(d, 2)
+    roots = [(lo[whole], hi[whole], np.ones((len(whole), d)))]
+    shells = []  # per cell holding the origin, the root rows of each corner box's shell
+    start = len(whole)
+    for cell in np.flatnonzero(origin):
+        rows = []
+        for s in orthants:
+            extent = np.where(s == 1, hi[cell], -lo[cell])
             if np.any(extent <= 0.0):
                 continue
-            sign = np.where(s == 1, 1.0, -1.0)
+            half = 0.5 * extent
+            shell_lo = orthants[1:] * half  # all but the inner half-box
+            sign = np.broadcast_to(np.where(s == 1, 1.0, -1.0), shell_lo.shape)
+            roots.append((shell_lo, shell_lo + half, sign))
+            rows.append(slice(start, start + len(shell_lo)))
+            start += len(shell_lo)
+        shells.append(rows)
+    integrals = _adaptive_boxes(f, *map(np.concatenate, zip(*roots)), ncomp)
 
-            def fs(z, sign=sign):
-                return f(z * sign)
+    vol = float(np.prod(spacing))
+    out[whole] = integrals[:len(whole)] / vol
+    scale = 1.0 - 2.0 ** (-(d + (p.gamma + hom_shift)))
+    for cell, rows in zip(np.flatnonzero(origin), shells):
+        corner = [_sum_children(integrals[r], len(orthants) - 1)[0] / scale for r in rows]
+        out[cell] = _sum_children(np.array(corner), len(corner))[0] / vol
+    return out.reshape((len(centers),) + shape)
 
-            total += _corner_box_integral(fs, extent, ncomp, hom)
-        return reshape(total / vol)
-    return reshape(_adaptive_box(f, lo, hi, ncomp) / vol)
+
+def cell_averaged_kernel(cell_center, spacing, p: KernelParams, which="matrix"):
+    """Exact cell average of the chosen kernel component over one grid cell.
+
+    The one-cell call of cell_averages: an array of the component's shape, or
+    a float for "c".
+    """
+    avg = cell_averages(np.atleast_1d(np.asarray(cell_center, dtype=float))[None, :],
+                        spacing, p, which)[0]
+    return avg if avg.shape else float(avg)
 
 
 def contraction_identities(v, v_star, p: KernelParams):

@@ -15,10 +15,9 @@ from landau.coefficients import (CLIP_REL_TOL, DATA_TOL, cell_view, coefficient_
 from landau.collision import apply_collision_diffusion, apply_collision_nonconservative
 from landau.kernel import KernelParams
 from landau.config import SimulationConfig, initial_data
-from landau.diagnostics import (ENormAccumulator, apply_derivatives, e_norm,
-                                fit_decay_rate, hierarchy_params, make_record,
-                                null_structure_gain, record_slabs, sharp_cauchy_diff,
-                                velocity_moments, z_norm)
+from landau.diagnostics import (ENormAccumulator, e_norm, fit_decay_rate, hierarchy_params,
+                                make_record, null_structure_gain, record_derivatives,
+                                record_slabs, sharp_cauchy_diff, velocity_moments, z_norm)
 from landau.errors import (GammaOutOfRange, GridMismatch, InsufficientPoints,
                            NonPositiveValue)
 from landau.phase_state import DistributionField, Grid, WeightSpec, bracket, gaussian_exponent
@@ -70,17 +69,20 @@ def test_hierarchy_rejects_bad_gamma():
         hierarchy_params(0.0)
 
 
-def test_apply_derivatives_polynomial_exact():
+def test_record_derivatives_polynomial_exact():
     # centered differences are exact on quadratics
     g = Grid(1, 1, 16, 16, 8.0, 2.0)
     x = g.x_mesh()[0]
     v = g.v_mesh()[0]
-    f = DistributionField(0.0, (x ** 2 + 3.0 * x * v) * np.ones(g.shape), g)
-    dx = apply_derivatives(f.values, g, f.time, (1,), (), ())
+    t = 0.5
+    f = DistributionField(t, (x ** 2 + 3.0 * x * v) * np.ones(g.shape), g)
+    dg = dict(record_derivatives(f.values, g, t))
+    assert list(dg) == list(landau.diagnostics.RECORD_ORDERS)
+    assert np.array_equal(dg["abs"], f.values)
     interior = (slice(1, -1), slice(1, -1))
+    assert np.allclose(dg["ab1s"][interior], (3.0 * x * np.ones_like(v))[interior], atol=1e-10)
+    dx = (dg["abs1"] - dg["ab1s"]) / t
     assert np.allclose(dx[interior], (2.0 * x + 3.0 * v)[interior], atol=1e-10)
-    dv = apply_derivatives(f.values, g, f.time, (), (1,), ())
-    assert np.allclose(dv[interior], (3.0 * x * np.ones_like(v))[interior], atol=1e-10)
 
 
 def test_y_derivative_combines_transport_direction():
@@ -91,10 +93,32 @@ def test_y_derivative_combines_transport_direction():
     v = g.v_mesh()[0]
     u = x - t * v
     f = DistributionField(t, np.exp(-0.1 * u ** 2), g)
-    y = apply_derivatives(f.values, g, t, (), (), (1,))
+    dg = dict(record_derivatives(f.values, g, t))
     interior = (slice(2, -2), slice(2, -2))
-    assert np.max(np.abs(y[interior])) < 1e-2 * np.max(np.abs(
-        apply_derivatives(f.values, g, t, (), (1,), ())[interior]))
+    assert np.max(np.abs(dg["abs1"][interior])) < 1e-2 * np.max(np.abs(dg["ab1s"][interior]))
+
+
+@pytest.mark.parametrize("d_x, d_v, n_x, rows_per_slab", [
+    (0, 2, 1, 1), (1, 2, 9, 1), (1, 2, 9, 4), (1, 3, 7, 2), (2, 2, 5, 1), (2, 2, 3, 1),
+    (2, 2, 6, 3)])
+def test_record_derivatives_on_slabs_are_the_full_field_differences(d_x, d_v, n_x,
+                                                                     rows_per_slab, monkeypatch):
+    # np.gradient over the whole field is the reference: each slab's
+    # derivatives, from its halo, are that field's on the slab's rows, bitwise
+    g = Grid(d_x, d_v, n_x, 8 if d_v == 2 else 5, 30.0, 3.0)
+    monkeypatch.setattr(landau.threads, "SLAB_POINTS", rows_per_slab * g.n_x ** max(d_x - 1, 0)
+                        * g.n_v ** d_v)
+    t = 0.75
+    vals = np.random.default_rng(7 * n_x + d_v).random(g.shape)
+    dv1 = np.gradient(vals, g.dv, axis=d_x, edge_order=2)
+    y1 = dv1 + t * np.gradient(vals, g.dx, axis=0, edge_order=2) if d_x else dv1
+    slabs = record_slabs(g)
+    assert len(slabs) == (-(-n_x // rows_per_slab) if d_x else 1)
+    for rows, halo, inner, _ in slabs:
+        dg = dict(record_derivatives(vals[halo], g, t, inner))
+        assert np.array_equal(dg["abs"], vals[rows])
+        assert np.array_equal(dg["ab1s"], dv1[rows])
+        assert np.array_equal(dg["abs1"], y1[rows])
 
 
 def test_z_norm_constant_field():
@@ -114,8 +138,8 @@ def _record_cfg(t_final):
         initial_parameters={"x_width": 35.0, "v_width": 1.0, "drift": [0.3, -0.2]})
 
 
-# (alpha, beta, sigma) of each record key: none, d_v1, and Y_1 = t d_x1 + d_v1.
-RECORD_KEYS = {"abs": ((), (), ()), "ab1s": ((), (1,), ()), "abs1": ((), (), (1,))}
+# (|beta|, |sigma|) of each record key: none, d_v1, and Y_1 = t d_x1 + d_v1.
+RECORD_KEYS = {"abs": (0, 0), "ab1s": (1, 0), "abs1": (0, 1)}
 
 
 def _expected_record(f, cfg):
@@ -137,10 +161,10 @@ def _expected_record(f, cfg):
     }
     d_t = cfg.d0 * (1.0 + (1.0 + t) ** -hp.delta)
     g = f.values * np.exp(d_t * (1.0 + grid.v_squared()))
-    for key, (alpha, beta, sigma) in RECORD_KEYS.items():
-        k, nb = sum(beta) + sum(sigma), sum(beta)
-        dg = apply_derivatives(g, grid, t, alpha, beta, sigma)
-        xw = xtb ** (hp.M_max + 5 - sum(sigma))
+    derivatives = dict(record_derivatives(g, grid, t))
+    for key, (nb, ns) in RECORD_KEYS.items():
+        k, dg = nb + ns, derivatives[key]
+        xw = xtb ** (hp.M_max + 5 - ns)
         out["Z_norms"][key] = ((1.0 + t) ** (-hp.zeta[k] - nb)
                                * np.max(vb ** (1.0 - hp.theta[k]) * xw * np.abs(dg)))
         out["E_norms"][key] = (1.0 + t) ** -nb * math.sqrt(
@@ -212,10 +236,10 @@ def test_record_norms_are_those_of_full_field_weights(d_x, d_v):
     vb, xtb = bracket(vsq), bracket(g.x_minus_tv_squared(f.time))
     d_t = gaussian_exponent(f.time, WeightSpec.from_gamma(p.gamma, 0.2))
     weighted = vals * np.exp(d_t * (1.0 + vsq))
-    for key, (alpha, beta, sigma) in RECORD_KEYS.items():
-        k, nb = sum(beta) + sum(sigma), sum(beta)
-        dg = apply_derivatives(weighted, g, f.time, alpha, beta, sigma)
-        xw = xtb ** (hp.M_max + 5 - sum(sigma))
+    derivatives = dict(record_derivatives(weighted, g, f.time))
+    for key, (nb, ns) in RECORD_KEYS.items():
+        k, dg = nb + ns, derivatives[key]
+        xw = xtb ** (hp.M_max + 5 - ns)
         assert rec.Z_norms[key] == z_norm(dg, vb, xw, f.time, nb, hp.zeta[k], hp.theta[k])
         # the record sums the norm's square slab by slab
         assert rec.E_norms[key] == pytest.approx(e_norm(dg, xw, f.time, nb, g.cell_volume),
@@ -302,8 +326,10 @@ def test_record_does_not_depend_on_slabs_or_threads(d_x, n_x, monkeypatch):
 
 
 def test_record_takes_each_weight_and_derivative_once(monkeypatch):
-    # once per slab: each derivative, and <x - t v> on the slab's cells
-    counts = {"v_squared": 0, "apply_derivatives": 0}
+    # once per slab: one velocity difference, on the slab's own rows, and
+    # <x - t v> on the slab's cells
+    counts = {"v_squared": 0}
+    differences = []  # (axis, rows) of each difference the record takes
     cells = []
 
     def count(owner, name):
@@ -315,7 +341,12 @@ def test_record_takes_each_weight_and_derivative_once(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     count(Grid, "v_squared")
-    count(landau.diagnostics, "apply_derivatives")
+    difference = landau.diagnostics._difference
+
+    def counted_difference(values, spacing, axis):
+        differences.append((axis, len(values)))
+        return difference(values, spacing, axis)
+    monkeypatch.setattr(landau.diagnostics, "_difference", counted_difference)
     x_minus_tv_squared = Grid.x_minus_tv_squared
 
     def picked(self, t, cells_=None):
@@ -327,7 +358,13 @@ def test_record_takes_each_weight_and_derivative_once(monkeypatch):
     monkeypatch.setattr(landau.threads, "SLAB_POINTS", 5 * 16 ** 2)
     records = run(cfg).records  # t_final = 0: no step, one record
     assert len(records) == 1
-    assert counts["apply_derivatives"] == 3 * len(record_slabs(cfg.grid())) == 3 * 10
+    slabs = record_slabs(cfg.grid())
+    assert len(slabs) == 10
+    # one velocity difference (axis d_x = 1) per slab, on the slab's own rows
+    assert sorted(rows for axis, rows in differences if axis == 1) == [3] + [5] * 9
+    # the x_1 difference of the rows inside the box is written out; at each
+    # box edge it takes np.gradient's one-sided stencil on 3 rows
+    assert sorted(d for d in differences if d[0] != 1) == [(0, 3), (0, 3)]
     assert counts["v_squared"] <= 3
     # <x - t v> over the slabs' and the blocks' own cells, never the whole field
     assert cells and all(c is not None for c in cells)
