@@ -14,10 +14,11 @@ import numpy as np
 
 from .errors import NegativeInput
 from .kernel import KernelParams, cell_averages, kernel_c, kernel_divergence, kernel_matrix, SINGULAR_CELL_RADIUS
-from .phase_state import DistributionField, Grid
-from .threads import pool
+from .phase_state import DistributionField, Grid, bracket
+from .threads import pool_map, pool_threads
 
 _TABLE_CACHE = {}
+_BOUND_CACHE = {}
 # Values below CLIP_REL_TOL of a field's peak are round-off: negatives that
 # small pass the sign check and the clip.
 CLIP_REL_TOL = 1e-14
@@ -40,9 +41,29 @@ def block_cells(grid: Grid):
     return max(1, BLOCK_POINTS // grid.n_v ** grid.d_v)
 
 
+def cell_blocks(count, size):
+    """Ranges (lo, hi) of count cells in the fewest near-equal blocks of at most size cells.
+
+    The block count is rounded up to a multiple of pool_threads(), and is at
+    most count, so that the threads get near-equal shares: 28 cells in blocks
+    of at most 8 on 2 threads are 4 blocks of 7, not 8, 8, 8 and 4.
+    """
+    if count == 0:
+        return []
+    threads = pool_threads()
+    blocks = -(-count // size)
+    blocks = min(count, -(-blocks // threads) * threads)
+    edges = [i * count // blocks for i in range(blocks + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def _sym_pairs(d):
     """Index pairs of the upper triangle of a d x d symmetric matrix."""
     return [(i, j) for i in range(d) for j in range(i, d)]
+
+
+def _table_key(grid: Grid, p: KernelParams):
+    return (grid.n_v, grid.d_v, round(grid.dv, 14), round(p.gamma, 14))
 
 
 def kernel_tables(grid: Grid, p: KernelParams):
@@ -52,7 +73,7 @@ def kernel_tables(grid: Grid, p: KernelParams):
     k in [-(n_v-1), n_v-1]^{d_v}; fft_tables holds the rfftn of each table laid
     out periodically on the (2 n_v)^{d_v} lattice (offset k at index k mod 2 n_v).
     """
-    key = (grid.n_v, grid.d_v, round(grid.dv, 14), round(p.gamma, 14))
+    key = _table_key(grid, p)
     if key in _TABLE_CACHE:
         return _TABLE_CACHE[key]
 
@@ -99,6 +120,28 @@ def kernel_tables(grid: Grid, p: KernelParams):
 
     _TABLE_CACHE[key] = (tables, fft_tables)
     return _TABLE_CACHE[key]
+
+
+def table_bounds(grid: Grid, p: KernelParams):
+    """(K_a, max |a_ij|, max |c|) over the kernel tables of grid and p, cached with them.
+
+    K_a = max_k max_ij |a_ij[k]| / <z_k>^(2+gamma) over the lattice offsets z_k
+    = k dv, so that |a_ij[k]| <= K_a <z_k>^(2+gamma) at every offset.  The
+    record bounds its coefficient sups by these (diagnostics.sup_bounds).
+    """
+    key = _table_key(grid, p)
+    if key not in _BOUND_CACHE:
+        tables, _ = kernel_tables(grid, p)
+        d = grid.d_v
+        first, *rest = (np.abs(tables[f"a{i}{j}"]) for i, j in _sym_pairs(d))
+        amax = first
+        for comp in rest:
+            np.maximum(amax, comp, out=amax)
+        z = np.arange(-(grid.n_v - 1), grid.n_v) * grid.dv
+        z2 = sum((z ** 2).reshape([z.size if b == a else 1 for b in range(d)]) for a in range(d))
+        _BOUND_CACHE[key] = (float(np.max(amax / bracket(z2) ** (2.0 + p.gamma))),
+                             float(np.max(amax)), float(np.max(np.abs(tables["c"]))))
+    return _BOUND_CACHE[key]
 
 
 @dataclass
@@ -176,33 +219,32 @@ def _convolve_block(fv, fft_tables, names, grid: Grid):
 
 
 def coefficient_pass(f: DistributionField, p: KernelParams, tables, consume, cells=None):
-    """consume(block, coeffs) on every block of block_cells(f.grid) spatial cells of f.
+    """consume(block, coeffs) on every block of spatial cells of f.
 
     tables names the kernel tables to convolve: "a" and any of "b" and "c".
     cells, an increasing index array of the cell axis of cell_view(f.values,
     grid), picks the cells to visit, and None visits them all.  The blocks are
-    ranges of that list: block is an index array of cells, or with cells None a
-    slice of the cell axis.  coeffs holds the block's convolution outputs in
-    that layout, with b_bar or c_bar None when not asked for.  The blocks run
-    on the pool of threads, each consumer on the thread of its block, so a
-    consumer writes only to its own cells.  Returns the consumers' results in
-    block order.  Each cell's arithmetic does not depend on the others, so
-    neither do the results on the number of threads, the block size or the
-    cells visited.
+    the cell_blocks of those cells in blocks of at most block_cells(f.grid):
+    block is an index array of cells, or with cells None a slice of the cell
+    axis.  coeffs holds the block's convolution outputs in that layout, with
+    b_bar or c_bar None when not asked for.  The blocks run on the pool of
+    threads, each consumer on the thread of its block, so a consumer writes
+    only to its own cells.  Returns the consumers' results in block order.
+    Each cell's arithmetic does not depend on the others, so neither do the
+    results on the number of threads, the block size or the cells visited.
     """
     grid = f.grid
     _, fft_tables = _checked_tables(f, p)
     names = _table_names(grid.d_v, tables)
     fv = cell_view(f.values, grid)
-    size = block_cells(grid)
 
-    def block(lo):
-        picked = slice(lo, lo + size) if cells is None else cells[lo:lo + size]
+    def block(bounds):
+        picked = slice(*bounds) if cells is None else cells[slice(*bounds)]
         comp = _convolve_block(np.maximum(fv[picked], 0.0), fft_tables, names, grid)
         return consume(picked, _fields(comp, grid.d_v))
 
     count = fv.shape[0] if cells is None else len(cells)
-    return list(pool().map(block, range(0, count, size)))
+    return pool_map(block, cell_blocks(count, block_cells(grid)))
 
 
 def compute_coefficients(f: DistributionField, p: KernelParams, method="fft", with_c=True):

@@ -72,20 +72,40 @@ def _second_difference(f, dv, axis):
     return out / dv ** 2
 
 
+def _diffusion_stencils(f, grid: Grid):
+    """(i, j, D_i D_j f) for i <= j, the centred differences of a_bar_ij D2_ij f.
+
+    D_i D_i is the second difference with zero extension, and D_i D_j (i < j)
+    the centred gradient along i of the centred gradient along j, in the order
+    apply_collision_diffusion adds them.
+    """
+    dv, nd = grid.dv, f.ndim
+    grads = {j: _centered_gradient(f, dv, _vaxis(grid, j, nd)) for j in range(1, grid.d_v)}
+    for i in range(grid.d_v):
+        yield i, i, _second_difference(f, dv, _vaxis(grid, i, nd))
+        for j in range(i + 1, grid.d_v):
+            yield i, j, _centered_gradient(grads[j], dv, _vaxis(grid, i, nd))
+
+
 def apply_collision_diffusion(f_slice, coeffs: CoefficientFields, grid: Grid):
     """a_bar_ij D2_ij f with centered differences."""
     f = np.asarray(f_slice, dtype=float)
-    dv = grid.dv
-    d = grid.d_v
-    nd = f.ndim
     q = np.zeros_like(f)
-    grads = [_centered_gradient(f, dv, _vaxis(grid, j, nd)) for j in range(d)]
-    for i in range(d):
-        q += coeffs.a_bar[i][i] * _second_difference(f, dv, _vaxis(grid, i, nd))
-        for j in range(i + 1, d):
-            cross = _centered_gradient(grads[j], dv, _vaxis(grid, i, nd))
-            q += 2.0 * coeffs.a_bar[i][j] * cross
+    for i, j, stencil in _diffusion_stencils(f, grid):
+        q += (coeffs.a_bar[i][i] if i == j else 2.0 * coeffs.a_bar[i][j]) * stencil
     return q
+
+
+def diffusion_stencil_sum(f_slice, grid: Grid):
+    """sum_i |D2_ii f| + 2 sum_{i<j} |D_i D_j f|, the stencils of apply_collision_diffusion.
+
+    |a_bar_ij D2_ij f| is at most max_ij |a_bar_ij| times this, point by point.
+    """
+    f = np.asarray(f_slice, dtype=float)
+    out = np.zeros_like(f)
+    for i, j, stencil in _diffusion_stencils(f, grid):
+        out += np.abs(stencil) if i == j else 2.0 * np.abs(stencil)
+    return out
 
 
 def apply_collision_nonconservative(f_slice, coeffs: CoefficientFields, grid: Grid):

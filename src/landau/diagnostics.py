@@ -12,17 +12,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import cell_view, coefficient_pass, coefficient_sup_norms, data_cells
-from .collision import apply_collision_diffusion, h_functional
+from .coefficients import (block_cells, cell_blocks, cell_view, coefficient_pass,
+                           coefficient_sup_norms, data_cells, table_bounds)
+from .collision import apply_collision_diffusion, diffusion_stencil_sum, h_functional
 from .errors import GammaOutOfRange, GridMismatch, InsufficientPoints, NonPositiveValue
 from .phase_state import DistributionField, Grid, WeightSpec, bracket, gaussian_weight_field
-from .threads import pool, slab_rows
-from .transport import pullback_sharp
+from .threads import pool_map, pool_threads, slab_rows, velocity_slab_rows
+from .transport import shift_chunk
 
 # The record's derivatives of g by NDJSON key, with their orders (|beta|,
 # |sigma|) in d_v^beta Y^sigma: g itself, d_v1 g and Y_1 g
 # (record_derivatives), in the order they are taken.
 RECORD_ORDERS = {"abs": (0, 0), "ab1s": (1, 0), "abs1": (0, 1)}
+# A cell's bounds on the record's coefficient sups (sup_bounds) hold for the
+# exact convolution.  The computed sups carry the FFT's round-off, which is
+# far below this share of a bound, so a cell is skipped only when each of its
+# bounds times (1 + SUP_BOUND_MARGIN) is below the sup found so far.
+SUP_BOUND_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -247,18 +253,16 @@ def null_structure_gain(plain_series, weighted_series, window=None):
 
 
 def record_slabs(grid: Grid):
-    """(rows, halo, inner, cells) of each slab of the record's slab pass.
+    """(rows, halo, inner) of each slab of the record's slab pass.
 
     rows is a slab of threads.slab_rows, a slice of the first spatial axis.
     halo widens rows by the rows that a first difference in x_1 reads,
-    np.gradient's one-sided stencil at the box edges included, inner picks
-    rows out of halo, and cells is rows as a slice of the flat cell axis.
-    With d_x = 0, one slab holds the field.
+    np.gradient's one-sided stencil at the box edges included, and inner
+    picks rows out of halo.  With d_x = 0, one slab holds the field.
     """
     if grid.d_x == 0:
-        return [(slice(None),) * 4]
+        return [(slice(None),) * 3]
     n = grid.n_x
-    row_cells = n ** (grid.d_x - 1)
     slabs = []
     for rows in slab_rows(grid):
         lo, hi = rows.start, rows.stop
@@ -267,70 +271,76 @@ def record_slabs(grid: Grid):
             hhi = max(hhi, min(n, 3))
         if hi == n:
             hlo = min(hlo, max(0, n - 3))
-        slabs.append((rows, slice(hlo, hhi), slice(lo - hlo, hi - hlo),
-                      slice(lo * row_cells, hi * row_cells)))
+        slabs.append((rows, slice(hlo, hhi), slice(lo - hlo, hi - hlo)))
     return slabs
 
 
-def make_record(f: DistributionField, p, d0, sharp0: DistributionField, acc, clipped_mass):
-    """The DiagnosticRecord of f.
+def _x_minus_tv_squared(table, grid: Grid, rows):
+    """|x - t v|^2 on rows of the first x axis, on the slab's own axes.
 
-    p is the kernel, d0 the Gaussian weight's constant, sharp0 the f-sharp the
-    record is compared with, and acc the ENormAccumulator of the run, which
-    this record adds its E-norm integrand to.  Two passes on the pool of
-    threads do the per-cell work, and no weight or derivative is built over
-    the whole field:
+    table[i, j] = wrap(x_i - t v_j)^2 is the term of one paired axis.  The
+    velocity axes that no x axis pairs with have length 1, and with d_x = 0
+    every axis has.  Bitwise Grid.x_minus_tv_squared on those rows.
+    """
+    ndim = grid.d_x + grid.d_v
+    tot = np.zeros((1,) * ndim)
+    for a in range(grid.d_x):
+        term = table[rows] if a == 0 else table
+        shape = [1] * ndim
+        shape[a], shape[grid.d_x + a] = term.shape
+        tot = tot + term.reshape(shape)
+    return tot
 
-    - the slab pass (record_slabs) takes g, <x - t v>^power, the derivatives
-      of RECORD_ORDERS, their Z maxima and E-norms, the L2_t integrand's norm,
-      each cell's velocity moments, the f-sharp difference sup and H, slab by
-      slab;
-    - the coefficient pass takes the null term and the coefficient sups, block
-      by block, over the stepper's cells (data_cells).  The other cells hold
-      less than DATA_TOL of the peak, whose coefficients are linear and null
-      term quadratic in it.  A field with no positive value has zero
-      coefficients, so its sups and null term are 0.
 
-    The calling thread combines maxima and sums.  Every field but E_norms and
-    h_value is bitwise independent of the slab size; those two sum the slabs'
-    pieces and move with it within 1e-14 relative.
+def sup_bounds(f: DistributionField, p, cells, null_weight):
+    """Upper bounds on each of cells' null term and coefficient sups, shape (len(cells), 4).
+
+    The columns are null_term_sup, a_bar_plain_sup, a_bar_weighted_sup and
+    c_bar_sup of the cell alone.  With s = 2 + gamma, f+ = max(f_c, 0), and
+    K_a, A = max |a_ij| and C = max |c| of coefficients.table_bounds:
+
+        plain     2^(s/2) K_a dv^d sum_w <w>^s f+(w), as |a_ij[v - w]| <=
+                  K_a <v - w>^s <= 2^(s/2) K_a <v>^s <w>^s (Peetre);
+        weighted  A dv^d sum_w f+(w), both weights being at most 1;
+        c         C dv^d sum_w f+(w);
+        null      plain times max_v (sum_i |D2_ii f_c| + 2 sum_{i<j} |D_i D_j f_c|),
+                  with the diffusion operator's own stencils on the raw f_c.
+
+    cells is an index array of the cell axis and null_weight = <v>^s on the
+    velocity axes, of shape (n_v,) * d_v.  The bounds are taken block by block
+    on the pool.
+    """
+    grid = f.grid
+    s = 2.0 + p.gamma
+    k_a, a_max, c_max = table_bounds(grid, p)
+    fv = cell_view(f.values, grid)
+    scale = grid.dv ** grid.d_v
+    v_axes = tuple(range(1, grid.d_v + 1))
+
+    def block(bounds):
+        raw = fv[cells[slice(*bounds)]]
+        pos = np.maximum(raw, 0.0)
+        plain = 2.0 ** (0.5 * s) * k_a * scale * np.sum(pos * null_weight, axis=v_axes)
+        mass = scale * np.sum(pos, axis=v_axes)
+        null = plain * np.max(diffusion_stencil_sum(raw, grid), axis=v_axes)
+        return np.stack([null, plain, a_max * mass, c_max * mass], axis=1)
+
+    parts = pool_map(block, cell_blocks(len(cells), block_cells(grid)))
+    return np.concatenate([np.empty((0, 4)), *parts])
+
+
+def _coefficient_sups(f: DistributionField, p, vb):
+    """(null_term_sup, a_bar_plain_sup, a_bar_weighted_sup, c_bar_sup) of f, with vb = <v>.
+
+    Each is the max over the stepper's cells (data_cells) of the cell's own,
+    and the cells are convolved in rounds of pool_threads() blocks, in
+    decreasing order of their largest sup_bounds relative to that column's
+    largest.  After each round the cells whose every bound, times (1 +
+    SUP_BOUND_MARGIN), is below the sups so far are dropped: they cannot
+    attain one.  So the sups are bitwise those of a pass over every data cell.
+    A field with no positive value has no data cell, and its sups are 0.
     """
     grid, t = f.grid, f.time
-    if sharp0.grid != grid:
-        raise GridMismatch("sharp fields live on different grids")
-    hp = hierarchy_params(p.gamma)
-    vol, xvol = grid.cell_volume, grid.dx ** grid.d_x
-    vb = bracket(grid.v_squared())
-    gw = gaussian_weight_field(f, WeightSpec.from_gamma(p.gamma, d0))
-    sharp = pullback_sharp(f).values
-
-    def slab(bounds):
-        rows, halo, inner, cells = bounds
-        fs = f.values[rows]
-        g = f.values[halo] * gw
-        xtb = bracket(grid.x_minus_tv_squared(t, cells)).reshape(fs.shape)
-        z_norms, e_norms = {}, {}
-        power = None
-        for key, dg in record_derivatives(g, grid, t, inner):
-            nb, ns = RECORD_ORDERS[key]
-            if power != hp.M_max + 5 - ns:  # the orders come sorted by |sigma|
-                power = hp.M_max + 5 - ns
-                xw = xtb ** power
-            z_norms[key] = z_norm(dg, vb, xw, t, nb, hp.zeta[nb + ns], hp.theta[nb + ns])
-            e_norms[key] = e_norm(dg, xw, t, nb, vol)
-            if key == "abs":
-                # ||<v> <x-tv>^(M_max+5) g||, whose square the L2_t integrand takes
-                e_norms["abs_Lt2"] = e_norm(dg, vb * xw, t, 0, vol)
-        return (velocity_moments(fs, grid), z_norms, e_norms,
-                _sharp_sup(sharp, sharp0.values, vb, grid, rows), h_functional(f, rows))
-
-    moments, z_parts, e_parts, sharp_sups, h_parts = zip(*pool().map(slab, record_slabs(grid)))
-    rho, m, e = (np.concatenate(parts) if grid.d_x else parts[0] for parts in zip(*moments))
-    z_norms = {key: max(part[key] for part in z_parts) for key in z_parts[0]}
-    e_norms = {key: math.hypot(*(part[key] for part in e_parts)) for key in e_parts[0]}
-    acc.add(t, (1.0 + t) ** (-1.0 - hp.delta) * e_norms["abs_Lt2"] ** 2)
-    e_norms["abs_Lt2"] = acc.value
-
     fv = cell_view(f.values, grid)
     vbv = vb.reshape((grid.n_v,) * grid.d_v)  # broadcasts over a block of cells
     null_weight = vbv ** (2.0 + p.gamma)
@@ -343,10 +353,101 @@ def make_record(f: DistributionField, p, d0, sharp0: DistributionField, acc, cli
         return (np.max(np.abs(diffusion) / null_weight),
                 out["plain"], out["weighted_down"], out["c_sup"])
 
-    blocks = coefficient_pass(f, p, "ac", sups, data_cells(f.values, grid))
-    # every sup is >= 0, so a pass that visits no cell gives 0
-    null_term, plain, weighted, c_sup = (
-        float(v) for v in np.max(np.reshape(blocks, (-1, 4)), axis=0, initial=0.0))
+    cells = data_cells(f.values, grid)
+    bounds = sup_bounds(f, p, cells, null_weight)
+    top = np.max(bounds, axis=0, initial=0.0)
+    share = np.divide(bounds, top, out=np.zeros_like(bounds), where=top > 0.0)
+    order = np.argsort(-np.max(share, axis=1, initial=0.0), kind="stable")
+    best = np.zeros(4)
+    per_round = pool_threads() * block_cells(grid)
+    while order.size:
+        visit, order = np.sort(order[:per_round]), order[per_round:]
+        blocks = coefficient_pass(f, p, "ac", sups, cells[visit])
+        best = np.maximum(best, np.max(np.reshape(blocks, (-1, 4)), axis=0))
+        order = order[np.any(bounds[order] * (1.0 + SUP_BOUND_MARGIN) >= best, axis=1)]
+    return tuple(float(v) for v in best)
+
+
+def make_record(f: DistributionField, p, d0, sharp0: DistributionField, acc, clipped_mass):
+    """The DiagnosticRecord of f.
+
+    p is the kernel, d0 the Gaussian weight's constant, sharp0 the f-sharp the
+    record is compared with, and acc the ENormAccumulator of the run, which
+    this record adds its E-norm integrand to.  Three passes on the pool of
+    threads do the per-cell work, and no weight, derivative, coefficient or
+    f-sharp is built over the whole field:
+
+    - the slab pass (record_slabs) takes g, <x - t v>^power, the derivatives
+      of RECORD_ORDERS, their Z maxima and E-norms, the L2_t integrand's norm,
+      each cell's velocity moments and H, slab by slab.  |x - t v|^2 comes
+      from one (n_x, n_v) table of wrap(x_a - t v_a)^2 per paired axis,
+      broadcast on the slab's own axes, so at d_x < d_v the weight and its
+      powers have length 1 on the unpaired velocity axes;
+    - the f-sharp difference sup is taken on each slab of the first velocity
+      axis (threads.velocity_slab_rows) as the pullback shifts it
+      (transport.shift_chunk), the difference in the shift's own output;
+    - the coefficient passes take the null term and the coefficient sups
+      (_coefficient_sups): over the stepper's cells (data_cells), in rounds,
+      convolving only the cells whose bounds (sup_bounds) can reach the sups
+      found so far.
+
+    The calling thread combines maxima and sums.  Every field but E_norms and
+    h_value is bitwise independent of the slab size; those two sum the slabs'
+    pieces and move with it within 1e-14 relative.
+    """
+    grid, t = f.grid, f.time
+    if sharp0.grid != grid:
+        raise GridMismatch("sharp fields live on different grids")
+    hp = hierarchy_params(p.gamma)
+    vol, xvol = grid.cell_volume, grid.dx ** grid.d_x
+    vb = bracket(grid.v_squared())
+    gw = gaussian_weight_field(f, WeightSpec.from_gamma(p.gamma, d0))
+    table = grid.wrap_x(grid.x_axis()[:, None] - t * grid.v_axis()) ** 2 if grid.d_x else None
+
+    def slab(bounds):
+        rows, halo, inner = bounds
+        fs = f.values[rows]
+        g = f.values[halo] * gw
+        xtb = bracket(_x_minus_tv_squared(table, grid, rows))
+        z_norms, e_norms = {}, {}
+        power = None
+        for key, dg in record_derivatives(g, grid, t, inner):
+            nb, ns = RECORD_ORDERS[key]
+            if power != hp.M_max + 5 - ns:  # the orders come sorted by |sigma|
+                power = hp.M_max + 5 - ns
+                xw = xtb ** power
+                # the Z weight <v>^(1-theta_k) xw, theta_k = 0 at k = |beta| + |sigma| <= 1
+                w = vb * xw
+            wdg = w * dg
+            z_norms[key] = (1.0 + t) ** (-hp.zeta[nb + ns] - nb) * float(np.max(np.abs(wdg)))
+            e_norms[key] = e_norm(dg, xw, t, nb, vol)
+            if key == "abs":
+                # ||<v> <x-tv>^(M_max+5) g||, whose square the L2_t integrand takes
+                e_norms["abs_Lt2"] = math.sqrt(float(np.sum(wdg ** 2)) * vol)
+        return velocity_moments(fs, grid), z_norms, e_norms, h_functional(f, rows)
+
+    def sharp_sup(chunk):
+        # the pullback f(t, x + t v, v) on one slab of the first velocity
+        # axis, which takes the difference in place unless it is a view of f
+        cells = (slice(None),) * grid.d_x + (chunk,)
+        pulled = shift_chunk(f, -t, chunk)
+        own = not np.may_share_memory(pulled, f.values)
+        diff = np.subtract(pulled, sharp0.values[cells], out=pulled if own else None)
+        return _sharp_sup(diff, vb[cells], grid)
+
+    # one pass on the pool for both, so that neither waits on the other's last task
+    chunks = velocity_slab_rows(grid)
+    results = pool_map(lambda job: job[0](job[1]),
+                       [(sharp_sup, c) for c in chunks] + [(slab, b) for b in record_slabs(grid)])
+    sharp_sups, slabs = results[:len(chunks)], results[len(chunks):]
+    moments, z_parts, e_parts, h_parts = zip(*slabs)
+    rho, m, e = (np.concatenate(parts) if grid.d_x else parts[0] for parts in zip(*moments))
+    z_norms = {key: max(part[key] for part in z_parts) for key in z_parts[0]}
+    e_norms = {key: math.hypot(*(part[key] for part in e_parts)) for key in e_parts[0]}
+    acc.add(t, (1.0 + t) ** (-1.0 - hp.delta) * e_norms["abs_Lt2"] ** 2)
+    e_norms["abs_Lt2"] = acc.value
+
+    null_term, plain, weighted, c_sup = _coefficient_sups(f, p, vb)
     return DiagnosticRecord(
         t=t,
         mass=float(np.sum(rho)) * xvol,
@@ -367,14 +468,19 @@ def make_record(f: DistributionField, p, d0, sharp0: DistributionField, acc, cli
     )
 
 
-def _sharp_sup(a, b, vb, grid: Grid, rows):
-    """sup <v>^2 <x>^2 |a - b| over rows of the first spatial axis, with vb = <v>."""
-    xs = grid.x_mesh()
-    if xs:
-        xs[0] = xs[0][rows]
+def _sharp_sup(diff, vb, grid: Grid):
+    """sup <v>^2 <x>^2 |diff| over every x cell, with vb = <v> on diff's velocity cells.
+
+    Overwrites diff.  The weight is built one row of the first velocity axis
+    at a time, so its temporaries are one row's.
+    """
     # plain <x> on the spatial axes: the terms of x_minus_tv_squared(0.0)
-    xb = bracket(sum(grid.wrap_x(x) ** 2 for x in xs))
-    return float(np.max(vb ** 2 * xb ** 2.0 * np.abs(a[rows] - b[rows])))
+    xb = bracket(sum(grid.wrap_x(x) ** 2 for x in grid.x_mesh()))
+    np.abs(diff, out=diff)
+    for j in range(diff.shape[grid.d_x]):
+        row = (slice(None),) * grid.d_x + (slice(j, j + 1),)
+        diff[row] *= vb[row] ** 2 * xb ** 2.0
+    return float(np.max(diff))
 
 
 def sharp_cauchy_diff(f_sharp_1: DistributionField, f_sharp_2: DistributionField):
@@ -382,5 +488,4 @@ def sharp_cauchy_diff(f_sharp_1: DistributionField, f_sharp_2: DistributionField
     if f_sharp_1.grid != f_sharp_2.grid:
         raise GridMismatch("sharp fields live on different grids")
     grid = f_sharp_1.grid
-    return _sharp_sup(f_sharp_1.values, f_sharp_2.values, bracket(grid.v_squared()), grid,
-                      slice(None))
+    return _sharp_sup(f_sharp_1.values - f_sharp_2.values, bracket(grid.v_squared()), grid)

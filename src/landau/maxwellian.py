@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConstraintViolated, ZeroMass
 from .phase_state import DistributionField, Grid
-from .threads import pool, slab_rows
+from .threads import pool_map, slab_rows
 
 FIT_MAX_STEPS = 100  # trial steps (model evaluations) of fit_maxwellian before it gives up
 FIT_RTOL = 1e-12  # relative decrease of the residual, or relative step, that ends the fit
@@ -130,7 +130,7 @@ def _rows(a, rows):
 def _slab_sums(part, grid: Grid):
     """The sums over the slabs of threads.slab_rows of part(rows), a tuple of
     numbers or arrays; the slabs run on the pool and add up in slab order."""
-    return [sum(pieces) for pieces in zip(*pool().map(part, slab_rows(grid)))]
+    return [sum(pieces) for pieces in zip(*pool_map(part, slab_rows(grid)))]
 
 
 def _moments(field: DistributionField):

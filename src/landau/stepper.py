@@ -172,9 +172,11 @@ def run(cfg: SimulationConfig, data: DistributionField = None, transport_only=Fa
     state = RunState()
     acc = ENormAccumulator()
 
-    f = data.copy()
+    # no step writes into a field it is given, so the run starts from data
+    # itself, and at t = 0 data is its own f-sharp
+    f = data
     initial_mass = f.mass()
-    sharp0 = pullback_sharp(f)
+    sharp0 = f if f.time == 0.0 else pullback_sharp(f)
     records = [make_record(f, p, cfg.d0, sharp0, acc, state.clipped_mass)]
     if checkpoint_cb is not None:
         checkpoint_cb(f)

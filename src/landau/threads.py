@@ -19,7 +19,9 @@ import os
 # points took 414-479 ms against 381-422 ms on the free_stream bench grid,
 # where a slab is one row and its halo two more, and 65-73 ms against 70-80 ms
 # on near_vacuum's.  The maxwellian_fit bench process peaks at 64.8 MB with the
-# fit on these slabs, against 69.6 MB with full-grid passes.
+# fit on these slabs, against 69.6 MB with full-grid passes.  The record's
+# f-sharp distance shifts slabs of the first velocity axis under the same rule
+# (velocity_slab_rows), so that its temporaries too are a slab's.
 SLAB_POINTS = 2 ** 16
 
 _POOL = None
@@ -27,24 +29,60 @@ _THREADS = 0
 
 
 def pool():
-    """The worker threads, one per CPU the process may run on, made at first use.
+    """The worker threads, pool_threads() of them, made at first use.
 
-    Its users: the coefficient pass (coefficients.coefficient_pass), the
-    transport shifts, the record's slab pass, and the slab passes of
-    maxwellian.fit_maxwellian (its start and every model evaluation).
+    Work goes to it through pool_map.  Its users: the coefficient pass
+    (coefficients.coefficient_pass), whose blocks come in multiples of
+    pool_threads(); the transport shifts, on chunks of the first velocity
+    axis; the record's slab pass, its f-sharp distance on the
+    velocity_slab_rows, and the bound pass of its coefficient sups; and the
+    slab passes of maxwellian.fit_maxwellian (its start and every model
+    evaluation).
     """
-    global _POOL, _THREADS
+    global _POOL
     if _POOL is None:
         from concurrent.futures import ThreadPoolExecutor
-        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count())
-        _THREADS = len(cpus)
-        _POOL = ThreadPoolExecutor(_THREADS)
+        _POOL = ThreadPoolExecutor(pool_threads())
     return _POOL
 
 
+def pool_map(fn, items):
+    """[fn(item) for item in items], the calls run on pool(), in the order of items.
+
+    A concurrent.futures worker lets go of its task, the function and its
+    argument, only after the caller has the task's result.  A closure's last
+    reference to a field could then drop on a worker thread after the caller
+    has gone on, at a moment that depends on scheduling, and whether the
+    caller's next field found that memory free or grew the heap would differ
+    from run to run: on 2 busy CPUs, processes running the same free_stream
+    bench rounds peaked at 125 MB RSS or at 141 MB.  So the workers are handed
+    only an index into a job list, which the caller empties once it holds
+    every result, and the last reference to anything fn holds drops on the
+    calling thread.
+    """
+    jobs = _Jobs(fn, list(items))
+    try:
+        return list(pool().map(jobs, range(len(jobs.items))))
+    finally:
+        jobs.fn = jobs.items = None
+
+
+class _Jobs:
+    """fn and its items, called by index."""
+
+    def __init__(self, fn, items):
+        self.fn, self.items = fn, items
+
+    def __call__(self, i):
+        return self.fn(self.items[i])
+
+
 def pool_threads():
-    """The number of threads of pool()."""
-    pool()
+    """The number of threads of pool(): one per CPU the process may run on."""
+    global _THREADS
+    if not _THREADS:
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count())
+        _THREADS = len(cpus)
     return _THREADS
 
 
@@ -56,8 +94,17 @@ def slab_rows(grid):
     """
     if grid.d_x == 0:
         return [slice(None)]
-    n = grid.n_x
-    size = max(1, SLAB_POINTS // (n ** (grid.d_x - 1) * grid.n_v ** grid.d_v))
+    return _rows(grid.n_x, grid.n_x ** (grid.d_x - 1) * grid.n_v ** grid.d_v)
+
+
+def velocity_slab_rows(grid):
+    """The slabs of a field on grid under the same rule, as slices of its first velocity axis."""
+    return _rows(grid.n_v, grid.n_x ** grid.d_x * grid.n_v ** (grid.d_v - 1))
+
+
+def _rows(n, row_points):
+    """Slices of n rows of row_points points each, SLAB_POINTS points a slice, at least one row."""
+    size = max(1, SLAB_POINTS // row_points)
     return [slice(lo, min(n, lo + size)) for lo in range(0, n, size)]
 
 

@@ -14,7 +14,7 @@ its last-axis frequency is 0, and travels as wave number -pi/dx where it is not.
 import numpy as np
 
 from .phase_state import DistributionField
-from .threads import pool, pool_threads
+from .threads import pool_map, pool_threads
 
 # Chunks of the first velocity axis per pool thread.  More chunks hold less of
 # the complex spectrum at once: a 5 s free_stream bench run on 2 threads
@@ -26,37 +26,50 @@ from .threads import pool, pool_threads
 CHUNKS_PER_THREAD = 4
 
 
+def shift_chunk(f: DistributionField, dt, chunk, out=None):
+    """f's values on a chunk of the first velocity axis, each spatial slice translated by v dt.
+
+    Written to out if given.  A zero shift, or d_x = 0, returns a view of f's
+    values.  Each line's arithmetic is its own, so the values do not depend
+    on the chunk.
+    """
+    grid = f.grid
+    cells = (slice(None),) * grid.d_x + (chunk,)
+    if grid.d_x == 0 or dt == 0.0:
+        return f.values[cells]
+    axes = tuple(range(grid.d_x))
+    ndim = grid.d_x + grid.d_v
+    v = grid.v_axis()
+    fhat = np.fft.rfftn(f.values[cells], axes=axes)
+    for a in axes:
+        freq = np.fft.rfftfreq if a == grid.d_x - 1 else np.fft.fftfreq
+        k = 2.0 * np.pi * freq(grid.n_x, d=grid.dx)
+        va = v[chunk] if a == 0 else v
+        shape = [1] * ndim
+        shape[a], shape[grid.d_x + a] = k.size, va.size
+        fhat *= np.exp(-1j * dt * np.outer(k, va)).reshape(shape)
+    return np.fft.irfftn(fhat, s=(grid.n_x,) * grid.d_x, axes=axes, out=out)
+
+
 def transport_shift(f: DistributionField, dt):
     """Translate each spatial slice by v dt; advance the time stamp by dt.
 
     A zero shift returns an exact copy.  Otherwise chunks of the first
-    velocity axis are shifted on the pool of threads, each transform writing
-    its slice of one output array.  Each chunk's arithmetic is per line, so
-    the result does not depend on the number of threads or chunks.
+    velocity axis, CHUNKS_PER_THREAD per pool thread, are shifted on the pool,
+    each transform writing its slice of one output array, so the result does
+    not depend on the number of threads or chunks.
     """
     grid = f.grid
     if grid.d_x == 0 or dt == 0.0:
         return DistributionField(f.time + dt, f.values.copy(), grid)
-    axes = tuple(range(grid.d_x))
-    ndim = grid.d_x + grid.d_v
-    v = grid.v_axis()
     shifted = np.empty(grid.shape)
 
     def shift(chunk):
-        cells = (slice(None),) * grid.d_x + (chunk,)
-        fhat = np.fft.rfftn(f.values[cells], axes=axes)
-        for a in axes:
-            freq = np.fft.rfftfreq if a == grid.d_x - 1 else np.fft.fftfreq
-            k = 2.0 * np.pi * freq(grid.n_x, d=grid.dx)
-            va = v[chunk] if a == 0 else v
-            shape = [1] * ndim
-            shape[a], shape[grid.d_x + a] = k.size, va.size
-            fhat *= np.exp(-1j * dt * np.outer(k, va)).reshape(shape)
-        np.fft.irfftn(fhat, s=(grid.n_x,) * grid.d_x, axes=axes, out=shifted[cells])
+        shift_chunk(f, dt, chunk, shifted[(slice(None),) * grid.d_x + (chunk,)])
 
     count = min(grid.n_v, CHUNKS_PER_THREAD * pool_threads())
     edges = [i * grid.n_v // count for i in range(count + 1)]
-    list(pool().map(shift, [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]))
+    pool_map(shift, [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])])
     return DistributionField(f.time + dt, shifted, grid)
 
 

@@ -5,6 +5,7 @@ import signal
 import sys
 import time
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,8 +13,8 @@ import pytest
 
 import landau.coefficients
 import landau.threads
-from landau.coefficients import (block_cells, coefficient_pass, compute_coefficients,
-                                 coefficient_sup_norms, kernel_tables)
+from landau.coefficients import (block_cells, cell_blocks, coefficient_pass, compute_coefficients,
+                                 coefficient_sup_norms, kernel_tables, table_bounds)
 from landau.errors import NegativeInput
 from landau.kernel import KernelParams
 from landau.phase_state import DistributionField, Grid, bracket
@@ -165,7 +166,8 @@ def test_pass_checks_the_sign_before_any_block():
     assert seen == []
 
 
-def test_pass_hands_each_block_its_requested_tables():
+def test_pass_hands_each_block_its_requested_tables(monkeypatch):
+    monkeypatch.setattr(landau.threads, "_THREADS", 2)
     g = Grid(1, 2, 80, 32, 10.0, 2.0)
     p = KernelParams(-1.0, 2)
     f = DistributionField(0.0, np.random.default_rng(12).random(g.shape), g)
@@ -179,13 +181,15 @@ def test_pass_hands_each_block_its_requested_tables():
                 and np.array_equal(coeffs.c_bar, c[cells]))
 
     results = coefficient_pass(f, p, "ac", check)
-    size = block_cells(g)  # 2^15 velocity points: 32 cells, the last block partial
-    assert [cells for cells, _ in results] == [slice(lo, lo + size) for lo in range(0, 80, size)]
-    assert len(results) == 3
+    # blocks of at most 2^15 velocity points, 32 cells: 3 blocks, rounded up
+    # to 4 for the 2 threads, of 20 cells each
+    assert block_cells(g) == 32
+    assert [cells for cells, _ in results] == [slice(lo, lo + 20) for lo in range(0, 80, 20)]
     assert all(ok for _, ok in results)
 
 
-def test_pass_visits_only_the_given_cells():
+def test_pass_visits_only_the_given_cells(monkeypatch):
+    monkeypatch.setattr(landau.threads, "_THREADS", 2)
     g = Grid(1, 2, 80, 32, 10.0, 2.0)
     p = KernelParams(-1.0, 2)
     f = DistributionField(0.0, np.random.default_rng(16).random(g.shape), g)
@@ -193,10 +197,47 @@ def test_pass_visits_only_the_given_cells():
     cells = np.array([0, 2, 3, 7, 8, 9] + list(range(20, 60)) + [79])
     results = coefficient_pass(f, p, "ac", lambda block, coeffs: (
         block, np.array_equal(coeffs.c_bar, c[block])), cells)
-    size = block_cells(g)  # 32 cells: the 47 given ones in two blocks
-    assert [list(block) for block, _ in results] == [list(cells[:size]), list(cells[size:])]
+    # blocks of at most 32 cells: the 47 given ones in two blocks, of 23 and 24
+    assert [list(block) for block, _ in results] == [list(cells[:23]), list(cells[23:])]
     assert all(ok for _, ok in results)
     assert coefficient_pass(f, p, "ac", lambda block, coeffs: 1, cells[:0]) == []
+
+
+@pytest.mark.parametrize("count, size, threads, sizes", [
+    (28, 8, 2, [7, 7, 7, 7]),       # near_vacuum's data cells: not 8, 8, 8 and 4
+    (28, 8, 1, [7, 7, 7, 7]),
+    (80, 32, 2, [20, 20, 20, 20]),  # 3 blocks of at most 32, rounded up to 4
+    (80, 32, 1, [26, 27, 27]),
+    (17, 8, 2, [4, 4, 4, 5]),
+    (9, 8, 2, [4, 5]),
+    (3, 8, 4, [1, 1, 1]),           # never more blocks than cells
+    (1, 8, 2, [1]),
+    (0, 8, 2, []),
+])
+def test_cell_blocks_are_the_fewest_near_equal_blocks(count, size, threads, sizes, monkeypatch):
+    monkeypatch.setattr(landau.threads, "_THREADS", threads)
+    blocks = cell_blocks(count, size)
+    assert [hi - lo for lo, hi in blocks] == sizes
+    assert [lo for lo, _ in blocks[1:]] == [hi for _, hi in blocks[:-1]]
+    assert blocks == [] or (blocks[0][0], blocks[-1][1]) == (0, count)
+
+
+@pytest.mark.parametrize("d, n_v, gamma", [(2, 12, -1.9), (2, 9, -1.0), (3, 5, -0.1)])
+def test_table_bounds_bound_every_table_entry(d, n_v, gamma):
+    g = Grid(0, d, 1, n_v, 1.0, 3.0)
+    p = KernelParams(gamma, d)
+    tables, _ = kernel_tables(g, p)
+    k_a, a_max, c_max = table_bounds(g, p)
+    assert table_bounds(g, p) == (k_a, a_max, c_max)
+    z = np.arange(-(n_v - 1), n_v) * g.dv
+    mesh = np.meshgrid(*[z] * d, indexing="ij")
+    weight = np.sqrt(1.0 + sum(m ** 2 for m in mesh)) ** (2.0 + gamma)
+    ratios = [np.abs(tables[name]) / weight for name in tables if name[0] == "a"]
+    assert len(ratios) == d * (d + 1) // 2
+    # K_a is attained, and bounds every component at every offset
+    assert k_a == max(float(np.max(r)) for r in ratios)
+    assert a_max == max(float(np.max(np.abs(tables[name]))) for name in tables if name[0] == "a")
+    assert c_max == float(np.max(np.abs(tables["c"])))
 
 
 def test_pass_is_bitwise_the_same_with_one_cell_blocks(monkeypatch):
@@ -248,6 +289,46 @@ def test_forked_child_makes_its_own_pool():
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
     assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+
+class _KeepingPool:
+    """A pool whose workers never let go of a task, the function and the
+    arguments they were handed; a concurrent.futures worker holds its last one
+    until it takes the next."""
+
+    def __init__(self, threads):
+        self.threads = threads
+        self.kept = []
+
+    def map(self, fn, *iterables):
+        self.kept.append((fn, iterables))
+        with ThreadPoolExecutor(self.threads) as pool:
+            return list(pool.map(fn, *iterables))
+
+
+def _tagger(held):
+    def fn(i):
+        time.sleep(0.001 * (i % 3))
+        return i, type(held).__name__
+
+    return fn
+
+
+def test_pool_map_keeps_order_and_lets_go_of_its_jobs(monkeypatch):
+    # what fn holds dies with the caller's last reference, however long the
+    # workers hold their tasks
+    class Held:
+        pass
+
+    for threads in (1, 7):
+        pool = _KeepingPool(threads)
+        monkeypatch.setattr(landau.threads, "_POOL", pool)
+        fn = _tagger(Held())
+        alive = weakref.ref(fn.__closure__[0].cell_contents)
+        got = landau.threads.pool_map(fn, range(10))
+        del fn
+        assert pool.kept and alive() is None
+        assert got == [(i, "Held") for i in range(10)]
 
 
 def test_point_mass_reproduces_kernel_table():

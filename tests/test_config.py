@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from landau.config import (SimulationConfig, boundary_fraction, config_from_dict,
                            initial_data, parse_config, support_radius,
@@ -106,6 +108,71 @@ def test_gate_velocity_boundary():
     with pytest.raises(ConfigInvalid) as exc:
         config_from_dict(raw)
     assert exc.value.gate == "gaussian-dominated"
+
+
+def _gate_cfg(**over):
+    """A small config that passes every gate: its data reach |x| = 20 of the
+    box's 32, and the velocity boundary holds e^-41 of the peak."""
+    base = dict(gamma=-1.0, d0=0.2, epsilon=1e-3, d_x=1, d_v=2, n_x=8, n_v=12, L_x=64.0,
+                v_max=8.0, t_final=1.0, initial_parameters={"x_width": 4.0, "v_width": 1.0})
+    base.update(over)
+    return SimulationConfig(**base)
+
+
+def _gate(cfg):
+    """The gate validate_config names for cfg, or None when it passes."""
+    try:
+        validate_config(cfg)
+    except ConfigInvalid as exc:
+        return exc.gate
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma=st.floats(-5.0, 3.0))
+@example(gamma=-2.0)
+@example(gamma=0.0)
+@example(gamma=-0.0)
+@example(gamma=np.nextafter(-2.0, 0.0))
+@example(gamma=np.nextafter(0.0, -1.0))
+def test_gate_gamma_is_the_open_interval(gamma):
+    assert _gate(_gate_cfg(gamma=gamma)) == (None if -2.0 < gamma < 0.0 else "gamma")
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfl=st.floats(-1.0, 3.0))
+@example(cfl=0.0)
+@example(cfl=5e-324)
+@example(cfl=1.0)
+@example(cfl=np.nextafter(1.0, 2.0))
+def test_gate_cfl_safety_is_the_half_open_interval(cfl):
+    assert _gate(_gate_cfg(cfl_safety=cfl)) == (None if 0.0 < cfl <= 1.0 else "cfl_safety")
+
+
+@pytest.mark.parametrize("d_x", [0, 1, 2, 3])
+@pytest.mark.parametrize("d_v", [2, 3])
+def test_gate_dims_is_d_x_at_most_d_v(d_x, d_v):
+    cfg = _gate_cfg(d_x=d_x, d_v=d_v, n_x=8 if d_x < 3 else 6, n_v=12 if d_v == 2 else 10)
+    assert _gate(cfg) == (None if d_x <= d_v else "dims")
+
+
+@settings(max_examples=60, deadline=None)
+@given(x_width=st.floats(1.0, 6.0), log_v_max=st.sampled_from([3, 4]),
+       ticks=st.integers(-2 ** 20, 2 ** 20))
+@example(x_width=4.0, log_v_max=3, ticks=0)
+@example(x_width=4.0, log_v_max=3, ticks=1)
+@example(x_width=4.0, log_v_max=3, ticks=-1)
+def test_gate_no_wrap_is_exactly_its_edge(x_width, log_v_max, ticks):
+    # cell centres are multiples of 4 and v_max a power of 2, so t_final =
+    # t_edge + ticks 2^-40 makes v_max t_final + support exact: 32 plus
+    # ticks 2^(log_v_max - 40), past L_x/2 = 32 for any tick above 0
+    v_max = 2.0 ** log_v_max
+    cfg = _gate_cfg(v_max=v_max, initial_parameters={"x_width": x_width, "v_width": 1.0})
+    rad = support_radius(initial_data(cfg))
+    assert rad % 4.0 == 0.0 and 0.0 < rad < 32.0
+    t_final = (32.0 - rad) / v_max + ticks * 2.0 ** -40
+    assert v_max * t_final + rad - 32.0 == ticks * 2.0 ** (log_v_max - 40)
+    assert _gate(dataclasses.replace(cfg, t_final=t_final)) == ("no-wrap" if ticks > 0 else None)
 
 
 def test_initial_data_kinds():

@@ -6,6 +6,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import landau.coefficients
 import landau.diagnostics
@@ -15,9 +18,10 @@ from landau.coefficients import (CLIP_REL_TOL, DATA_TOL, cell_view, coefficient_
 from landau.collision import apply_collision_diffusion, apply_collision_nonconservative
 from landau.kernel import KernelParams
 from landau.config import SimulationConfig, initial_data
-from landau.diagnostics import (ENormAccumulator, e_norm, fit_decay_rate, hierarchy_params,
-                                make_record, null_structure_gain, record_derivatives,
-                                record_slabs, sharp_cauchy_diff, velocity_moments, z_norm)
+from landau.diagnostics import (SUP_BOUND_MARGIN, ENormAccumulator, e_norm, fit_decay_rate,
+                                hierarchy_params, make_record, null_structure_gain,
+                                record_derivatives, record_slabs, sharp_cauchy_diff, sup_bounds,
+                                velocity_moments, z_norm)
 from landau.errors import (GammaOutOfRange, GridMismatch, InsufficientPoints,
                            NonPositiveValue)
 from landau.phase_state import DistributionField, Grid, WeightSpec, bracket, gaussian_exponent
@@ -114,7 +118,7 @@ def test_record_derivatives_on_slabs_are_the_full_field_differences(d_x, d_v, n_
     y1 = dv1 + t * np.gradient(vals, g.dx, axis=0, edge_order=2) if d_x else dv1
     slabs = record_slabs(g)
     assert len(slabs) == (-(-n_x // rows_per_slab) if d_x else 1)
-    for rows, halo, inner, _ in slabs:
+    for rows, halo, inner in slabs:
         dg = dict(record_derivatives(vals[halo], g, t, inner))
         assert np.array_equal(dg["abs"], vals[rows])
         assert np.array_equal(dg["ab1s"], dv1[rows])
@@ -294,6 +298,82 @@ def test_record_sups_skip_round_off_cells(d_x, monkeypatch):
     assert sups == (0.0,) * 4
 
 
+def _cell_sups(f, p):
+    """Each cell's null term and coefficient sups, from full-field coefficients: shape (cells, 4)."""
+    g, s = f.grid, 2.0 + p.gamma
+    coeffs = compute_coefficients(f, p)
+    vb, xtb = bracket(g.v_squared()), bracket(g.x_minus_tv_squared(f.time))
+    amax = np.max(np.abs(np.array(coeffs.a_bar)), axis=(0, 1))
+    per_point = [np.abs(apply_collision_diffusion(f.values, coeffs, g)) / vb ** s, amax / vb ** s,
+                 amax / xtb ** min(1.0, s) / vb ** max(0.0, 1.0 + p.gamma), np.abs(coeffs.c_bar)]
+    v_axes = tuple(range(1, g.d_v + 1))
+    return np.stack([np.max(cell_view(x, g), axis=v_axes) for x in per_point], axis=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), d_v=st.sampled_from([2, 3]), gamma=st.sampled_from([-1.9, -1.0, -0.1]),
+       t=st.floats(0.0, 4.0))
+def test_sup_bounds_bound_each_cells_sups(data, d_v, gamma, t):
+    # the record skips a cell only when each of its bounds, times 1 + the
+    # margin, is below a sup: so each bound must hold for the computed sups
+    g = Grid(1, d_v, 3, 8 if d_v == 2 else 5, 20.0, 3.0)
+    p = KernelParams(gamma, d_v)
+    if data.draw(st.booleans()):
+        vals = data.draw(hnp.arrays(float, g.shape, elements=st.floats(0.0, 1.0)))
+    else:
+        # a few spikes: a spike's c-bar peaks at |c[0]| f dv^d, its bound
+        vals = np.zeros(g.shape)
+        for index in data.draw(st.lists(st.tuples(*(st.integers(0, n - 1) for n in g.shape)),
+                                        min_size=1, max_size=4)):
+            vals[index] = data.draw(st.floats(1e-3, 1.0))
+    f = DistributionField(t, vals, g)
+    null_weight = bracket(g.v_squared()).reshape((g.n_v,) * d_v) ** (2.0 + gamma)
+    bounds = sup_bounds(f, p, np.arange(g.n_x), null_weight)
+    assert bounds.shape == (g.n_x, 4)
+    assert np.all(bounds * (1.0 + SUP_BOUND_MARGIN) >= _cell_sups(f, p))
+
+
+def _sup_cells_off_the_densest(g, kind):
+    """Ten cells of near-equal mass, and six of 1e-3 of it: Gaussians of widths
+    0.3 to 1.5, or bumps of width 0.5 drifting from v_1 = -1 to 2.6, near the
+    velocity edge at 4."""
+    v1, v2 = g.v_mesh()
+    c = np.arange(g.n_x).reshape(-1, 1, 1)
+    mass = np.where(c < 10, 1.0, 1e-3) / (1.0 + 0.05 * c)
+    if kind == "widths":
+        width = 0.3 + 0.08 * c
+        return mass * np.exp(-(v1 ** 2 + v2 ** 2) / width ** 2) / width ** 2
+    drift = -1.0 + 3.6 * c / (g.n_x - 1)
+    return mass * np.exp(-((v1 - drift) ** 2 + v2 ** 2) / 0.25)
+
+
+@pytest.mark.parametrize("gamma, kind", [(-1.9, "drift"), (-1.0, "widths"), (-1.0, "drift"),
+                                         (-0.3, "widths")])
+def test_record_sups_are_a_full_pass_ones_when_cells_are_skipped(gamma, kind, monkeypatch):
+    # blocks of one cell, so that rounds of pool_threads() cells visit the
+    # cells that can attain a sup and skip the small ones; the sups are
+    # bitwise those of every data cell even where a sup is not attained in
+    # the densest cell
+    g = Grid(1, 2, 16, 16, 40.0, 4.0)
+    p = KernelParams(gamma, 2)
+    monkeypatch.setattr(landau.coefficients, "BLOCK_POINTS", g.n_v ** 2)
+    f = DistributionField(0.5, _sup_cells_off_the_densest(g, kind), g)
+    cells = _cell_sups(f, p)
+    densest = int(np.argmax(np.sum(cell_view(f.values, g), axis=(1, 2))))
+    assert any(int(np.argmax(column)) != densest for column in cells.T)
+    visited = []
+    coefficient_pass = landau.diagnostics.coefficient_pass
+
+    def pass_over(*args):
+        visited.extend(args[-1])
+        return coefficient_pass(*args)
+    monkeypatch.setattr(landau.diagnostics, "coefficient_pass", pass_over)
+    rec = make_record(f, p, 0.2, pullback_sharp(f), ENormAccumulator(), 0.0)
+    assert len(set(visited)) == len(visited) < g.n_x
+    sups = (rec.null_term_sup, rec.a_bar_plain_sup, rec.a_bar_weighted_sup, rec.c_bar_sup)
+    assert sups == tuple(float(v) for v in np.max(cells, axis=0))
+
+
 @pytest.mark.parametrize("d_x, n_x", [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)])
 def test_record_does_not_depend_on_slabs_or_threads(d_x, n_x, monkeypatch):
     # slabs of 1 and 2 rows of x_1 and of the whole box, on 1 and 2 threads;
@@ -366,7 +446,8 @@ def test_record_takes_each_weight_and_derivative_once(monkeypatch):
     # box edge it takes np.gradient's one-sided stencil on 3 rows
     assert sorted(d for d in differences if d[0] != 1) == [(0, 3), (0, 3)]
     assert counts["v_squared"] <= 3
-    # <x - t v> over the slabs' and the blocks' own cells, never the whole field
+    # <x - t v> over the blocks' own cells, never the whole field; the slabs
+    # take |x - t v|^2 from per-axis tables
     assert cells and all(c is not None for c in cells)
 
 
@@ -385,6 +466,29 @@ def test_velocity_moments_uniform():
     assert np.max(np.abs(rho)) == pytest.approx(16.0)
     assert np.max(np.abs(m)) < 1e-12
     assert np.max(np.abs(e)) > 0.0
+
+
+@pytest.mark.parametrize("d_x, d_v", [(0, 2), (1, 1), (1, 2), (2, 2), (1, 3)])
+def test_velocity_moments_are_the_weighted_sums(d_x, d_v):
+    # against the sums of f, v_a f and |v|^2 f / 2 over the velocity axes, to
+    # round-off, each momentum component on its own axis; and cell by cell,
+    # so a slab of rows gets its rows' moments bit for bit
+    g = Grid(d_x, d_v, 5, {1: 16, 2: 12, 3: 6}[d_v], 10.0, 3.0)
+    vals = np.random.default_rng(60 + 10 * d_x + d_v).random(g.shape) - 0.25
+    rho, m, e = velocity_moments(vals, g)
+    v_axes = tuple(range(d_x, d_x + d_v))
+    scale = g.dv ** d_v
+    size = np.sum(np.abs(vals), axis=v_axes) * scale * g.v_max ** 2
+    assert rho.shape == e.shape == g.shape[:d_x] and m.shape == g.shape[:d_x] + (d_v,)
+    assert np.all(np.abs(rho - np.sum(vals, axis=v_axes) * scale) <= 1e-14 * size)
+    for a, va in enumerate(g.v_mesh()):
+        assert np.all(np.abs(m[..., a] - np.sum(vals * va, axis=v_axes) * scale) <= 1e-14 * size)
+    energy = 0.5 * np.sum(vals * g.v_squared(), axis=v_axes) * scale
+    assert np.all(np.abs(e - energy) <= 1e-14 * size)
+    if d_x:
+        rows = velocity_moments(vals[1:3], g)
+        for whole, part in zip((rho, m, e), rows):
+            assert np.array_equal(whole[1:3], part)
 
 
 def test_fit_decay_rate_recovers_power_law():

@@ -276,6 +276,21 @@ def test_run_emits_records_and_final_state():
     assert r.clipped_mass >= 0.0
 
 
+@pytest.mark.parametrize("transport_only", [False, True])
+def test_run_leaves_its_data_unchanged(transport_only):
+    # run steps from data itself, not a copy: no step may write into a field
+    # it is given, which a read-only array would refuse
+    cfg = _small_cfg(t_final=1.0, output_every=0.5)
+    data = initial_data(cfg)
+    want = data.values.copy()
+    data.values.flags.writeable = False
+    seen = []
+    art = run(cfg, data, transport_only=transport_only, checkpoint_cb=seen.append)
+    assert [f.time for f in seen] == [0.0, 0.5, 1.0] and art.final.time == 1.0
+    assert data.time == 0.0
+    assert np.array_equal(data.values, want)
+
+
 def test_run_mass_drift_budget():
     cfg = _small_cfg(t_final=5.0)
     art = run(cfg)
