@@ -87,9 +87,8 @@ def write_ndjson(path, records):
             fh.write(record_to_json(rec) + "\n")
 
 
-def read_ndjson(path):
-    """The JSON objects of the file's nonblank lines; ParseError names a line that is not one."""
-    rows = []
+def _numbered_rows(path):
+    """(line number, JSON object) of the file's nonblank lines; ParseError names a line that is not one."""
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
@@ -101,8 +100,12 @@ def read_ndjson(path):
                 raise ParseError(number, f"{path}: not JSON: {exc.msg}") from exc
             if not isinstance(row, dict):
                 raise ParseError(number, f"{path}: not a JSON object")
-            rows.append(row)
-    return rows
+            yield number, row
+
+
+def read_ndjson(path):
+    """The JSON objects of the file's nonblank lines; ParseError names a line that is not one."""
+    return [row for _, row in _numbered_rows(path)]
 
 
 def _checkpoint_index(t, cfg):
@@ -169,8 +172,21 @@ def cmd_oracle(args):
     return 2 if failures else 0
 
 
+def _fit_rows(path):
+    """The records of an NDJSON file; ParseError names the line and the key of a
+    record without a number at t or a fitted sup, or without a momentum list."""
+    numbered = list(_numbered_rows(path))  # every line JSON first
+    for number, row in numbered:
+        for key in ("t", "rho_sup", "a_bar_plain_sup", "a_bar_weighted_sup"):
+            if type(row.get(key)) not in (int, float):
+                raise ParseError(number, f"{path}: {key!r} is missing or not a number")
+        if not isinstance(row.get("momentum"), list):
+            raise ParseError(number, f"{path}: 'momentum' is missing or not a list")
+    return [row for _, row in numbered]
+
+
 def cmd_fit_report(args):
-    rows = read_ndjson(args.ndjson)
+    rows = _fit_rows(args.ndjson)
     if not rows:
         raise InsufficientPoints(f"{args.ndjson} holds no records")
     cfg = parse_config(args.config) if args.config else None

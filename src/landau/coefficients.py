@@ -218,17 +218,16 @@ def _convolve_block(fv, fft_tables, names, grid: Grid):
     return out
 
 
-def coefficient_pass(f: DistributionField, p: KernelParams, tables, consume, cells=None):
-    """consume(block, coeffs) on every block of spatial cells of f.
+def coefficient_pass(f: DistributionField, p: KernelParams, tables, consume, cells):
+    """consume(block, coeffs) on every block of the given spatial cells of f.
 
     tables names the kernel tables to convolve: "a" and any of "b" and "c".
     cells, an increasing index array of the cell axis of cell_view(f.values,
-    grid), picks the cells to visit, and None visits them all.  The blocks are
-    the cell_blocks of those cells in blocks of at most block_cells(f.grid):
-    block is an index array of cells, or with cells None a slice of the cell
-    axis.  coeffs holds the block's convolution outputs in that layout, with
-    b_bar or c_bar None when not asked for.  The blocks run on the pool of
-    threads, each consumer on the thread of its block, so a consumer writes
+    grid), picks the cells to visit.  The blocks are the cell_blocks of those
+    cells in blocks of at most block_cells(f.grid): block is an index array of
+    cells, and coeffs holds the block's convolution outputs in that layout,
+    with b_bar or c_bar None when not asked for.  The blocks run on the pool
+    of threads, each consumer on the thread of its block, so a consumer writes
     only to its own cells.  Returns the consumers' results in block order.
     Each cell's arithmetic does not depend on the others, so neither do the
     results on the number of threads, the block size or the cells visited.
@@ -239,23 +238,22 @@ def coefficient_pass(f: DistributionField, p: KernelParams, tables, consume, cel
     fv = cell_view(f.values, grid)
 
     def block(bounds):
-        picked = slice(*bounds) if cells is None else cells[slice(*bounds)]
+        picked = cells[slice(*bounds)]
         comp = _convolve_block(np.maximum(fv[picked], 0.0), fft_tables, names, grid)
         return consume(picked, _fields(comp, grid.d_v))
 
-    count = fv.shape[0] if cells is None else len(cells)
-    return pool_map(block, cell_blocks(count, block_cells(grid)))
+    return pool_map(block, cell_blocks(len(cells), block_cells(grid)))
 
 
-def compute_coefficients(f: DistributionField, p: KernelParams, method="fft", with_c=True):
+def compute_coefficients(f: DistributionField, p: KernelParams, method="fft"):
     """Convolve f with the cell-averaged kernel tables, per spatial cell.
 
-    with_c=False skips c_bar (left None), which the divergence form never reads.
+    Every cell is visited.  method "direct" is the O(n_v^(2 d_v)) sum, a
+    reference for the FFT.
     """
     grid = f.grid
     d = grid.d_v
-    tables = "abc" if with_c else "ab"
-    names = _table_names(d, tables)
+    names = _table_names(d, "abc")
     fv = cell_view(f.values, grid)
     if method == "fft":
         out = {name: np.empty(fv.shape) for name in names}
@@ -264,7 +262,7 @@ def compute_coefficients(f: DistributionField, p: KernelParams, method="fft", wi
             for dst, src in zip(out.values(), _components(block)):
                 dst[cells] = src
 
-        coefficient_pass(f, p, tables, store)
+        coefficient_pass(f, p, "abc", store, np.arange(len(fv)))
     elif method == "direct":
         lattice, _ = _checked_tables(f, p)
         fv = np.maximum(fv, 0.0)

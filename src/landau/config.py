@@ -67,14 +67,21 @@ def parse_config(path):
     return config_from_dict(raw)
 
 
+def _section(raw, key):
+    """raw[key], {} when absent; ParseError unless it is a JSON object."""
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ParseError(0, f"{key!r} must be a JSON object")
+    return value
+
+
 def config_from_dict(raw):
+    if not isinstance(raw, dict):
+        raise ParseError(0, "the configuration must be a JSON object")
+    dims, grid, time, init, diag, out = (
+        _section(raw, key) for key in ("dims", "grid", "time", "initial_data", "diagnostics",
+                                       "output"))
     try:
-        dims = raw.get("dims", {})
-        grid = raw.get("grid", {})
-        time = raw.get("time", {})
-        init = raw.get("initial_data", {})
-        diag = raw.get("diagnostics", {})
-        out = raw.get("output", {})
         cfg = SimulationConfig(
             gamma=float(raw["gamma"]),
             d0=float(raw.get("d0", 1.0)),
@@ -90,7 +97,7 @@ def config_from_dict(raw):
             dt_max=float(time.get("dt_max", 0.25)),
             output_every=float(time.get("output_every", 2.5)),
             initial_kind=init.get("kind", "gaussian"),
-            initial_parameters=init.get("parameters", {}),
+            initial_parameters=_section(init, "parameters"),
             fit_window=tuple(diag["fit_window"]) if "fit_window" in diag else None,
             output_directory=out.get("directory", "."),
             checkpoint_every=float(out.get("checkpoint_every", 0.0)),
@@ -104,9 +111,17 @@ def config_from_dict(raw):
 
 
 def _padded_vector(params, key, default, d):
-    """params[key] as a length-d vector, zero-padded past its given entries."""
+    """params[key] as a length-d vector, zero-padded past its given entries.
+
+    ConfigInvalid("initial_data") unless it is a list of at most d numbers.
+    """
+    try:
+        given = np.asarray(params.get(key, default), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid("initial_data", f"{key} is not a list of numbers") from exc
+    if given.ndim != 1 or len(given) > d:
+        raise ConfigInvalid("initial_data", f"{key} must list at most d_v = {d} numbers")
     vec = np.zeros(d)
-    given = params.get(key, default)
     vec[: len(given)] = given
     return vec
 

@@ -275,23 +275,6 @@ def record_slabs(grid: Grid):
     return slabs
 
 
-def _x_minus_tv_squared(table, grid: Grid, rows):
-    """|x - t v|^2 on rows of the first x axis, on the slab's own axes.
-
-    table[i, j] = wrap(x_i - t v_j)^2 is the term of one paired axis.  The
-    velocity axes that no x axis pairs with have length 1, and with d_x = 0
-    every axis has.  Bitwise Grid.x_minus_tv_squared on those rows.
-    """
-    ndim = grid.d_x + grid.d_v
-    tot = np.zeros((1,) * ndim)
-    for a in range(grid.d_x):
-        term = table[rows] if a == 0 else table
-        shape = [1] * ndim
-        shape[a], shape[grid.d_x + a] = term.shape
-        tot = tot + term.reshape(shape)
-    return tot
-
-
 def sup_bounds(f: DistributionField, p, cells, null_weight):
     """Upper bounds on each of cells' null term and coefficient sups, shape (len(cells), 4).
 
@@ -379,10 +362,9 @@ def make_record(f: DistributionField, p, d0, sharp0: DistributionField, acc, cli
 
     - the slab pass (record_slabs) takes g, <x - t v>^power, the derivatives
       of RECORD_ORDERS, their Z maxima and E-norms, the L2_t integrand's norm,
-      each cell's velocity moments and H, slab by slab.  |x - t v|^2 comes
-      from one (n_x, n_v) table of wrap(x_a - t v_a)^2 per paired axis,
-      broadcast on the slab's own axes, so at d_x < d_v the weight and its
-      powers have length 1 on the unpaired velocity axes;
+      each cell's velocity moments and H, slab by slab.  |x - t v|^2 is
+      Grid.x_minus_tv_squared on the slab's cells, so at d_x < d_v the weight
+      and its powers have length 1 on the unpaired velocity axes;
     - the f-sharp difference sup is taken on each slab of the first velocity
       axis (threads.velocity_slab_rows) as the pullback shifts it
       (transport.shift_chunk), the difference in the shift's own output;
@@ -402,13 +384,16 @@ def make_record(f: DistributionField, p, d0, sharp0: DistributionField, acc, cli
     vol, xvol = grid.cell_volume, grid.dx ** grid.d_x
     vb = bracket(grid.v_squared())
     gw = gaussian_weight_field(f, WeightSpec.from_gamma(p.gamma, d0))
-    table = grid.wrap_x(grid.x_axis()[:, None] - t * grid.v_axis()) ** 2 if grid.d_x else None
+    row_cells = grid.n_x ** max(grid.d_x - 1, 0)  # flat cells per row of x_1
 
     def slab(bounds):
         rows, halo, inner = bounds
         fs = f.values[rows]
         g = f.values[halo] * gw
-        xtb = bracket(_x_minus_tv_squared(table, grid, rows))
+        # the slab's rows as a range of flat cells; at d_x = 0 its one cell
+        cells = slice(rows.start * row_cells, rows.stop * row_cells) if grid.d_x else rows
+        xt2 = grid.x_minus_tv_squared(t, cells)
+        xtb = bracket(xt2.reshape(fs.shape[:grid.d_x] + xt2.shape[1:]))
         z_norms, e_norms = {}, {}
         power = None
         for key, dg in record_derivatives(g, grid, t, inner):

@@ -244,17 +244,6 @@ def cell_averages(centers, spacing, p: KernelParams, which="matrix"):
     return out.reshape((len(centers),) + shape)
 
 
-def cell_averaged_kernel(cell_center, spacing, p: KernelParams, which="matrix"):
-    """Exact cell average of the chosen kernel component over one grid cell.
-
-    The one-cell call of cell_averages: an array of the component's shape, or
-    a float for "c".
-    """
-    avg = cell_averages(np.atleast_1d(np.asarray(cell_center, dtype=float))[None, :],
-                        spacing, p, which)[0]
-    return avg if avg.shape else float(avg)
-
-
 def contraction_identities(v, v_star, p: KernelParams):
     """Check the exact contractions of the kernel with v and with v (x) v.
 

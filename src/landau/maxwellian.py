@@ -82,11 +82,6 @@ def eval_maxwellian(p: TravelingMaxwellianParams, t, x, v):
     return p.prefactor(d_x) * math.exp(-0.5 * float(u @ s @ u))
 
 
-def maxwellian_sharp(p: TravelingMaxwellianParams, x, v):
-    """M-sharp(x, v) = M(0, x, v); equals M(t, x + t v, v) for every t."""
-    return eval_maxwellian(p, 0.0, x, v)
-
-
 def _free_entries(d, d_x):
     """Index pairs (i, a) of the free entries B_ia, a < min(i, d_x); B_ai = -B_ia."""
     return [(i, a) for i in range(d) for a in range(min(i, d_x))]

@@ -101,19 +101,22 @@ class Grid:
     def x_minus_tv_squared(self, t, cells=None):
         """|x - t v|^2 over the paired axes, minimal-image; zero if d_x = 0.
 
-        Over the grid's shape, or over the spatial cells that cells, a slice or
-        index array of the flat cell axis, picks: shape (cells,) + (n_v,)*d_v.
+        Over the spatial cells that cells, a slice or index array of the flat
+        cell axis, picks, of shape (cells,) + the velocity axes; with cells
+        None, over the grid's spatial axes.  A velocity axis has length n_v
+        if an x axis pairs with it, else 1, so the result broadcasts over the
+        field or a block of its cells.
         """
         picked = np.arange(self.n_x ** self.d_x)
         if cells is not None:
             picked = picked[cells]
-        tot = np.zeros((picked.size,) + (self.n_v,) * self.d_v)
+        tot = np.zeros((picked.size,) + (1,) * self.d_v)
         coords = np.unravel_index(picked, (self.n_x,) * self.d_x) if self.d_x else ()
         for a, index in enumerate(coords):
             x = self.x_axis()[index].reshape((-1,) + (1,) * self.d_v)
             v = self.v_axis().reshape([self.n_v if b == a else 1 for b in range(self.d_v)])
             tot = tot + self.wrap_x(x - t * v) ** 2
-        return tot.reshape(self.shape) if cells is None else tot
+        return tot.reshape(self.shape[:self.d_x] + tot.shape[1:]) if cells is None else tot
 
 
 @dataclass
@@ -129,9 +132,6 @@ class DistributionField:
         if self.values.shape != self.grid.shape:
             raise GridMismatch(
                 f"values shape {self.values.shape} != grid shape {self.grid.shape}")
-
-    def copy(self):
-        return DistributionField(self.time, self.values.copy(), self.grid)
 
     def mass(self):
         return float(np.sum(self.values)) * self.grid.cell_volume

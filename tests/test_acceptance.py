@@ -1,20 +1,20 @@
 """End-to-end verification of the headline solver properties.
 
 One test per property, each ending in a single printed pass/fail line.  The
-long near-vacuum evolutions step through stepper.advance, the time loop of
-run(), and skip only run()'s clip-budget abort, so that they always reach their
-final time; their cumulative clipped mass is reported on the printed line and
-the stated physical tolerances are asserted as-is.
+long near-vacuum evolutions of criteria 8 and 9 step through stepper.advance,
+the time loop of run(), and skip only run()'s clip-budget abort, so that they
+always reach their final time; their cumulative clipped mass is reported on the
+printed line and the stated physical tolerances are asserted as-is.
 
-Criterion 7 draws on two sources.  Its a-bar decay slope comes from a d_x = 1
-run with collisions, fitted in that run's dispersive window.  Its null-structure
-gains come from a-bar of the exact free-transport solution at d_x = d_v = 2:
-the weight <x - t v> pairs a velocity axis with each spatial axis, so the gain
-exists only where every velocity axis has a spatial partner.  A run with
-collisions at that resolution would need over 3e8 phase cells; near vacuum the
-solution approaches free transport (criterion 8 checks that f-sharp freezes),
-and at d_x = 1 the run with collisions and free transport agree to 0.011 in the
-slope and 0.001 in the gain.
+Criterion 7 draws on two sources.  Its a-bar decay slope comes from the records
+of a d_x = 1 run() with collisions, under its clip budget, fitted in that run's
+dispersive window.  Its null-structure gains come from a-bar of the exact
+free-transport solution at d_x = d_v = 2: the weight <x - t v> pairs a velocity
+axis with each spatial axis, so the gain exists only where every velocity axis
+has a spatial partner.  A run with collisions at that resolution would need over
+3e8 phase cells; near vacuum the solution approaches free transport (criterion
+8 checks that f-sharp freezes), and at d_x = 1 the run with collisions and free
+transport agree to 0.011 in the slope and 0.001 in the gain.
 """
 
 import math
@@ -35,7 +35,7 @@ from landau.maxwellian import (TravelingMaxwellianParams, fit_maxwellian,
 from landau.oracles import (check_hls, check_interpolation, convolve_radial,
                             default_catalog, RadialTestFunction)
 from landau.phase_state import DistributionField, Grid, bracket
-from landau.stepper import CLIP_BUDGET, RunState, advance, collision_substep
+from landau.stepper import CLIP_BUDGET, RunState, advance, collision_substep, run
 from landau.transport import pullback_sharp, transport_shift
 
 
@@ -370,9 +370,10 @@ def test_criterion_7_coefficient_decay():
     cfg = _dispersive_cfg()
     par = cfg.initial_parameters
     window = dispersive_window(par["x_width"], par["v_width"], cfg.grid().dv, cfg.t_final)
-    r = _drive(cfg, ())
-    slope = fit_decay_rate(r["plain"], window)[0]
-    clip_frac = r["clipped"] / (CLIP_BUDGET * r["mass0"])
+    art = run(cfg)  # aborts past the clip budget
+    mass0 = initial_data(cfg).mass()
+    slope = fit_decay_rate(art.record_series("a_bar_plain_sup"), window)[0]
+    clip_frac = art.clipped_mass / (CLIP_BUDGET * mass0)
 
     times = np.arange(GAIN_WINDOW[0], GAIN_WINDOW[1], 2.0)
     gains, r_max = {}, 0.0
@@ -388,7 +389,7 @@ def test_criterion_7_coefficient_decay():
             f"gain {gains[-1.0]:.3f} (need >= 0.85), gamma=-1.5 gain "
             f"{gains[-1.5]:.3f} (need >= 0.35), sups at |x| <= {r_max:.2f} "
             f"(need < {GAIN_RADIUS - GAIN_SPACING:g}); clipped mass "
-            f"{r['clipped']:.2e} of {r['mass0']:.2e}, {clip_frac:.2f} of budget")
+            f"{art.clipped_mass:.2e} of {mass0:.2e}, {clip_frac:.2f} of budget")
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,47 @@ def test_fit_report_refuses_an_empty_or_malformed_stream(tmp_path, capsys, text,
     assert err.startswith(f"error: {error}") and str(path) in err
 
 
+@pytest.mark.parametrize("drop, update, key", [
+    ("rho_sup", {}, "rho_sup"),
+    (None, {"rho_sup": "a"}, "rho_sup"),
+    (None, {"t": None}, "t"),
+    (None, {"a_bar_weighted_sup": True}, "a_bar_weighted_sup"),
+    ("momentum", {}, "momentum"),
+], ids=["no-rho_sup", "string-rho_sup", "null-t", "bool-sup", "no-momentum"])
+def test_fit_report_names_the_line_and_key_of_a_malformed_record(tmp_path, capsys, drop, update,
+                                                                 key):
+    good = dataclasses.asdict(_record(1.0))
+    bad = dict(good, **update)
+    bad.pop(drop, None)
+    path = tmp_path / "diag.ndjson"
+    path.write_text(f"{json.dumps(good)}\n\n{json.dumps(bad)}\n")
+    assert main(["fit-report", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ParseError: line 3: {path}: {key!r} is missing or not a")
+
+
+def _with_parameters(raw, **over):
+    raw["initial_data"]["parameters"].update(over)
+    return raw
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda raw: [], "ParseError"),
+    (lambda raw: dict(raw, dims=[1, 2]), "ParseError"),
+    (lambda raw: dict(raw, initial_data={"kind": "gaussian", "parameters": "x"}), "ParseError"),
+    (lambda raw: _with_parameters(raw, drift=3), "ConfigInvalid"),
+    (lambda raw: _with_parameters(raw, drift=[0.1, 0.2, 0.3]), "ConfigInvalid"),
+], ids=["list", "dims-list", "parameters-string", "drift-number", "drift-past-d_v"])
+def test_cli_run_refuses_a_malformed_config(tmp_path, capsys, edit, error):
+    path = _write_cfg(tmp_path)
+    raw = edit(json.loads(open(path).read()))
+    with open(path, "w") as fh:
+        json.dump(raw, fh)
+    assert main(["run", "--config", path, "--quiet"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {error}: ")
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is needed only by landau.oracles, which `landau oracle` imports
     # lazily; the worker threads are made at their first use

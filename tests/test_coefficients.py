@@ -81,17 +81,6 @@ def test_fft_is_bitwise_the_padded_transform(grid):
         assert np.array_equal(_component(out, name), want), name
 
 
-def test_with_c_false_skips_only_c_bar():
-    g = Grid(1, 2, 4, 12, 10.0, 3.0)
-    p = KernelParams(-1.0, 2)
-    f = DistributionField(0.0, np.random.default_rng(8).random(g.shape), g)
-    full = compute_coefficients(f, p)
-    part = compute_coefficients(f, p, with_c=False)
-    assert part.c_bar is None
-    assert np.array_equal(np.array(part.a_bar), np.array(full.a_bar))
-    assert np.array_equal(np.array(part.b_bar), np.array(full.b_bar))
-
-
 def test_components_are_shared_contiguous_field_arrays():
     # one array per distinct component, of the field's shape, with no tensor
     # copy; 32 blocks, so that the blocks' temporaries weigh less than a field
@@ -162,7 +151,8 @@ def test_pass_checks_the_sign_before_any_block():
     vals[17, 3, 4] = -1e-3
     seen = []
     with pytest.raises(NegativeInput):
-        coefficient_pass(DistributionField(0.0, vals, g), p, "ac", lambda cells, c: seen.append(cells))
+        coefficient_pass(DistributionField(0.0, vals, g), p, "ac",
+                         lambda cells, c: seen.append(cells), np.arange(20))
     assert seen == []
 
 
@@ -180,11 +170,12 @@ def test_pass_hands_each_block_its_requested_tables(monkeypatch):
         return (cells, np.array_equal(coeffs.a_bar[1][0], a01[cells])
                 and np.array_equal(coeffs.c_bar, c[cells]))
 
-    results = coefficient_pass(f, p, "ac", check)
+    results = coefficient_pass(f, p, "ac", check, np.arange(80))
     # blocks of at most 2^15 velocity points, 32 cells: 3 blocks, rounded up
     # to 4 for the 2 threads, of 20 cells each
     assert block_cells(g) == 32
-    assert [cells for cells, _ in results] == [slice(lo, lo + 20) for lo in range(0, 80, 20)]
+    assert [list(cells) for cells, _ in results] == [list(range(lo, lo + 20))
+                                                     for lo in range(0, 80, 20)]
     assert all(ok for _, ok in results)
 
 

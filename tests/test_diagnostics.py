@@ -446,9 +446,13 @@ def test_record_takes_each_weight_and_derivative_once(monkeypatch):
     # box edge it takes np.gradient's one-sided stencil on 3 rows
     assert sorted(d for d in differences if d[0] != 1) == [(0, 3), (0, 3)]
     assert counts["v_squared"] <= 3
-    # <x - t v> over the blocks' own cells, never the whole field; the slabs
-    # take |x - t v|^2 from per-axis tables
-    assert cells and all(c is not None for c in cells)
+    # <x - t v> over a slab's or a block's own cells, never the whole field:
+    # once per slab, on the slab's rows as a slice of the flat cells (one
+    # cell per row at d_x = 1), and on each block's index array of cells
+    slab_calls = sorted((c for c in cells if isinstance(c, slice)), key=lambda c: c.start)
+    assert slab_calls == [rows for rows, _, _ in slabs]
+    block_calls = [c for c in cells if not isinstance(c, slice)]
+    assert block_calls and all(isinstance(c, np.ndarray) for c in block_calls)
 
 
 def test_e_norm_accumulator_trapezoid():

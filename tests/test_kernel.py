@@ -8,9 +8,8 @@ import pytest
 import landau.kernel
 from landau.coefficients import kernel_tables
 from landau.errors import GammaOutOfRange, SingularPoint
-from landau.kernel import (QUAD_MAX_DEPTH, QUAD_REL_TOL, KernelParams, cell_averaged_kernel,
-                           cell_averages, contraction_identities, kernel_c, kernel_divergence,
-                           kernel_matrix)
+from landau.kernel import (QUAD_MAX_DEPTH, QUAD_REL_TOL, KernelParams, cell_averages,
+                           contraction_identities, kernel_c, kernel_divergence, kernel_matrix)
 from landau.phase_state import Grid
 
 
@@ -124,7 +123,7 @@ def test_contraction_identities_random():
 def test_cell_average_far_cell_is_midpoint():
     p = KernelParams(-1.0, 2)
     center = np.array([3.0, 1.0])
-    avg = cell_averaged_kernel(center, 0.1, p, "matrix")
+    avg = cell_averages(center[None], 0.1, p, "matrix")[0]
     assert np.allclose(avg, kernel_matrix(center, p))
 
 
@@ -134,7 +133,7 @@ def test_cell_average_origin_frozen_anchor():
     # gamma = -1, d = 2.
     p = KernelParams(-1.0, 2)
     h = 0.25
-    avg = cell_averaged_kernel(np.zeros(2), h, p, "c")
+    avg = cell_averages(np.zeros((1, 2)), h, p, "c")[0]
     exact = -(4.0 / h) * math.log(1.0 + math.sqrt(2.0))
     assert math.isclose(avg, exact, rel_tol=1e-8)
 
@@ -142,7 +141,7 @@ def test_cell_average_origin_frozen_anchor():
 def test_cell_average_origin_divergence_is_odd():
     # b is odd under z -> -z, so its average over a centered cell vanishes.
     p = KernelParams(-0.5, 2)
-    avg = cell_averaged_kernel(np.zeros(2), 0.2, p, "divergence")
+    avg = cell_averages(np.zeros((1, 2)), 0.2, p, "divergence")[0]
     assert np.max(np.abs(avg)) < 1e-10
 
 
@@ -152,7 +151,7 @@ def test_cell_average_near_singular_cell_quadrature():
     p = KernelParams(-1.2, 2)
     center = np.array([0.1, 0.0])
     spacing = 0.2
-    avg = cell_averaged_kernel(center, spacing, p, "matrix")
+    avg = cell_averages(center[None], spacing, p, "matrix")[0]
     n = 400
     u = center[0] - 0.5 * spacing + (np.arange(n) + 0.5) * (spacing / n)
     w = center[1] - 0.5 * spacing + (np.arange(n) + 0.5) * (spacing / n)
@@ -163,7 +162,7 @@ def test_cell_average_near_singular_cell_quadrature():
 
 def test_cell_average_matrix_trace_positive_at_origin_cell():
     p = KernelParams(-1.5, 2)
-    avg = cell_averaged_kernel(np.zeros(2), 0.3, p, "matrix")
+    avg = cell_averages(np.zeros((1, 2)), 0.3, p, "matrix")[0]
     assert np.trace(avg) > 0.0
     assert np.min(np.linalg.eigvalsh(avg)) >= 0.0
 
@@ -185,7 +184,7 @@ def test_cell_average_near_singular_cells_in_three_dimensions(center):
     p = KernelParams(-1.2, 3)
     center = np.array(center)
     for which in ("matrix", "divergence", "c"):
-        avg = np.asarray(cell_averaged_kernel(center, 0.2, p, which))
+        avg = cell_averages(center[None], 0.2, p, which)[0]
         ref = _midpoint_average(center, 0.2, p, which, 48)
         if which == "divergence" and not center.any():
             # odd under z -> -z: both vanish

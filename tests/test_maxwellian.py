@@ -14,8 +14,7 @@ from landau.cli import main, save_checkpoint
 from landau.config import SimulationConfig, initial_data
 from landau.errors import ConstraintViolated, ZeroMass
 from landau.maxwellian import (MaxwellianFit, TravelingMaxwellianParams,
-                               eval_maxwellian, fit_maxwellian,
-                               maxwellian_sharp, maxwellian_sharp_field)
+                               eval_maxwellian, fit_maxwellian, maxwellian_sharp_field)
 from landau.phase_state import DistributionField, Grid
 
 
@@ -59,7 +58,7 @@ def test_sharp_equals_time_slices():
     p = _params_2d()
     x = np.array([0.3, -0.7])
     v = np.array([1.1, 0.4])
-    ref = maxwellian_sharp(p, x, v)
+    ref = eval_maxwellian(p, 0.0, x, v)
     for t in (0.5, 2.0, 9.0):
         assert math.isclose(eval_maxwellian(p, t, x + t * v, v), ref, rel_tol=1e-12)
 
@@ -82,8 +81,8 @@ def test_sharp_field_matches_pointwise_eval():
     for i in (0, 3):
         for j in (1, 5):
             for k in (2, 6):
-                ref = maxwellian_sharp(p, np.array([xs[i]]),
-                                       np.array([vs[j], vs[k]]))
+                ref = eval_maxwellian(p, 0.0, np.array([xs[i]]),
+                                      np.array([vs[j], vs[k]]))
                 assert field.values[i, j, k] == pytest.approx(ref, rel=1e-12)
 
 

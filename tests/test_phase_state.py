@@ -56,6 +56,23 @@ def test_x_minus_tv_squared_wraps():
     assert np.max(val) <= 25.0 + 1e-12
 
 
+@pytest.mark.parametrize("d_x, d_v", [(d_x, d_v) for d_v in (1, 2, 3) for d_x in range(d_v + 1)])
+def test_x_minus_tv_squared_cells_are_rows_of_the_whole(d_x, d_v):
+    # the cells form is, bit for bit, the matching rows of the cells=None
+    # form; each has length 1 exactly on the velocity axes no x axis pairs
+    g = Grid(d_x, d_v, 5, 4, 10.0, 3.0)
+    t = 2.5
+    whole = g.x_minus_tv_squared(t)
+    v_shape = tuple(g.n_v if a < d_x else 1 for a in range(d_v))
+    assert whole.shape == (g.n_x,) * d_x + v_shape
+    cells = np.random.default_rng(d_x + 4 * d_v).integers(0, g.n_x ** d_x, size=7)
+    part = g.x_minus_tv_squared(t, cells)
+    assert part.shape == (len(cells),) + v_shape
+    assert np.array_equal(part, whole.reshape((-1,) + v_shape)[cells])
+    ref = sum(g.wrap_x(x - t * v) ** 2 for x, v in zip(g.x_mesh(), g.v_mesh()))
+    assert np.allclose(np.broadcast_to(whole, g.shape), ref, rtol=1e-14, atol=0.0)
+
+
 def test_field_shape_check():
     g = Grid(0, 2, 1, 4, 1.0, 1.0)
     with pytest.raises(GridMismatch):

@@ -16,7 +16,7 @@ from landau.coefficients import (CLIP_REL_TOL, block_cells, cell_view, compute_c
 from landau.collision import apply_collision_divergence
 from landau.config import SimulationConfig, initial_data
 from landau.diagnostics import conserved_moments
-from landau.errors import CflViolation, NanDetected, NegativeInput
+from landau.errors import CflViolation, ClipBudgetExceeded, NanDetected, NegativeInput
 from landau.kernel import KernelParams
 from landau.phase_state import DistributionField, Grid
 import landau.stepper
@@ -297,6 +297,15 @@ def test_run_mass_drift_budget():
     m0 = art.records[0].mass
     mT = art.records[-1].mass
     assert abs(mT - m0) / m0 <= 1e-10 + 2.0 * art.clipped_mass / m0
+
+
+def test_run_aborts_past_its_clip_budget(monkeypatch):
+    # this run clips about 2e-10 of its mass by t = 5, inside the 1e-8 budget;
+    # a budget below that share aborts it
+    cfg = _small_cfg(t_final=5.0)
+    monkeypatch.setattr(landau.stepper, "CLIP_BUDGET", 1e-11)
+    with pytest.raises(ClipBudgetExceeded):
+        run(cfg)
 
 
 def test_run_snapshots_are_sharp_fields():
