@@ -234,7 +234,8 @@ def cmd_maxfit(args):
     fit = fit_maxwellian(sharp)
     norm = float(np.sqrt(np.sum(sharp.values ** 2) * sharp.grid.cell_volume))
     print(f"t {f.time:.3f} residual {fit.residual:.6e} field_l2 {norm:.6e} "
-          f"relative {fit.residual / norm:.6e} converged {fit.converged}")
+          f"relative {fit.residual / norm:.6e} converged {fit.converged} "
+          f"evaluations {fit.evaluations}")
     print(f"params m {fit.params.m:.6g} alpha {fit.params.alpha:.6g} "
           f"sigma {fit.params.sigma:.6g} beta {fit.params.beta:.6g}")
     return 0

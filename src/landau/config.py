@@ -1,6 +1,7 @@
 """Run configuration: schema, parsing, validation gates, initial data."""
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,8 +44,8 @@ class SimulationConfig:
                 self.fit_window = dispersive_window(
                     float(par.get("x_width", 1.0)), float(par.get("v_width", 1.0)),
                     2.0 * self.v_max / self.n_v, self.t_final)
-            except ZeroDivisionError:
-                pass  # a zero width or velocity grid, which validate_config refuses
+            except (ZeroDivisionError, TypeError, ValueError):
+                pass  # a width or velocity grid that validate_config refuses
         if self.fit_window is None:
             self.fit_window = (5.0, 0.8 * self.t_final)
 
@@ -110,6 +111,18 @@ def config_from_dict(raw):
     return cfg
 
 
+def _number(params, key, default, positive=False):
+    """params[key] as a float; ConfigInvalid("initial_data") unless it is a number,
+    and with positive, a finite one > 0."""
+    try:
+        value = float(params.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid("initial_data", f"{key} is not a number") from exc
+    if positive and not 0.0 < value < math.inf:
+        raise ConfigInvalid("initial_data", f"{key} must be finite and > 0")
+    return value
+
+
 def _padded_vector(params, key, default, d):
     """params[key] as a length-d vector, zero-padded past its given entries.
 
@@ -153,11 +166,11 @@ def initial_data(cfg: SimulationConfig):
     grid = cfg.grid()
     params = dict(cfg.initial_parameters)
     if cfg.initial_kind in ("gaussian", "seed"):
-        x_width = float(params.get("x_width", 1.0))
-        v_width = float(params.get("v_width", 1.0))
+        x_width = _number(params, "x_width", 1.0, positive=True)
+        v_width = _number(params, "v_width", 1.0, positive=True)
         if cfg.initial_kind == "gaussian":
             drift = _padded_vector(params, "drift", [], grid.d_v)
-            vals = (_x_gaussian(grid, float(params.get("x_center", 0.0)), x_width)
+            vals = (_x_gaussian(grid, _number(params, "x_center", 0.0), x_width)
                     * _v_gaussian(grid, drift, v_width))
         else:
             # Two separated velocity bumps: deliberately far from any single
@@ -167,12 +180,17 @@ def initial_data(cfg: SimulationConfig):
                                                        + _v_gaussian(grid, -u, v_width))
     elif cfg.initial_kind == "maxwellian":
         d = grid.d_v
-        b = np.array(params.get("B", np.zeros((d, d))), dtype=float)
+        try:
+            b = np.array(params.get("B", np.zeros((d, d))), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigInvalid("initial_data", "B is not a matrix of numbers") from exc
+        if b.shape != (d, d):
+            raise ConfigInvalid("initial_data", f"B must be d_v x d_v = {d} x {d}")
         mp = TravelingMaxwellianParams(
-            m=float(params.get("m", 1.0)),
-            alpha=float(params.get("alpha", 1.0)),
-            sigma=float(params.get("sigma", 1.0)),
-            beta=float(params.get("beta", 0.0)),
+            m=_number(params, "m", 1.0),
+            alpha=_number(params, "alpha", 1.0),
+            sigma=_number(params, "sigma", 1.0),
+            beta=_number(params, "beta", 0.0),
             B=b,
         )
         vals = maxwellian_sharp_field(mp, grid).values

@@ -11,9 +11,10 @@ columns paired with a spatial axis and the prefactor uses the general Gaussian
 normalization, which reduces to m sqrt(det Q)/(2 pi)^d when d_x = d_v.
 
 log M-sharp = sum_k eta_k psi_k is linear in the natural coordinates eta =
-(log prefactor, sigma, alpha, beta, free B_ia) with fixed fields psi (1 and
-_features), so the fit is damped Gauss-Newton (Marquardt, SIAM J. Appl. Math.
-11, 1963) on normal equations that one model evaluation gives.
+(log prefactor, sigma, alpha, beta, free B_ia), and each psi_k is a quadratic
+form in the cell centres (_forms).  The fit is damped Gauss-Newton (Marquardt,
+SIAM J. Appl. Math. 11, 1963), whose normal equations are the forms contracted
+with the moments, to order 4, that one model evaluation sums per axis.
 """
 
 import math
@@ -87,26 +88,32 @@ def _free_entries(d, d_x):
     return [(i, a) for i in range(d) for a in range(min(i, d_x))]
 
 
-def _features(grid: Grid):
-    """-|v|^2/2, -|x|^2/2, -sum_a v_a x_a and, per free B_ia, -(v_i x_a - [i < d_x] v_a x_i):
-    the fields that multiply sigma, alpha, beta and B_ia in log M-sharp."""
-    vs, xs = grid.v_mesh(), grid.x_mesh()
-    feats = [-0.5 * sum(v * v for v in vs), -0.5 * sum(x * x for x in xs),
-             -sum(v * x for v, x in zip(vs, xs))]
-    for i, a in _free_entries(grid.d_v, grid.d_x):
-        feats.append(-(vs[i] * xs[a] - (vs[a] * xs[i] if i < grid.d_x else 0.0)))
-    return feats
+def _forms(d, d_x):
+    """psi_0 = 1 and the fields that multiply sigma, alpha, beta and each free B_ia in
+    log M-sharp, -|v|^2/2, -|x|^2/2, -sum_a v_a x_a and -(v_i x_a - [i < d_x] v_a x_i),
+    as upper-triangular forms psi_k = u^T A_k u in u = (x, v, 1), x and v cell centres."""
+    n, free = d_x + d, _free_entries(d, d_x)
+    forms = np.zeros((4 + len(free), n + 1, n + 1))
+    forms[0, n, n] = 1.0
+    forms[1, range(d_x, n), range(d_x, n)] = forms[2, range(d_x), range(d_x)] = -0.5
+    forms[3, range(d_x), range(d_x, 2 * d_x)] = -1.0
+    for k, (i, a) in enumerate(free, start=4):
+        forms[k, a, d_x + i], forms[k, i, d_x + a] = -1.0, float(i < d_x)
+    return forms
 
 
-def _coords(p: TravelingMaxwellianParams, d_x):
-    """The coefficients of _features in log M-sharp."""
-    return [p.sigma, p.alpha, p.beta] + [p.B[i, a] for i, a in _free_entries(p.B.shape[0], d_x)]
+def _quadratic(form, coords):
+    """u^T form u on the broadcast coordinate arrays u, its terms added in row-major order."""
+    return sum(form[a, b] * (coords[a] * coords[b]) for a, b in zip(*np.nonzero(form)))
 
 
 def maxwellian_sharp_field(p: TravelingMaxwellianParams, grid: Grid):
     """M-sharp sampled on a phase-space grid as a DistributionField at t = 0."""
     p.validate(grid.d_x)
-    expo = sum(c * psi for c, psi in zip(_coords(p, grid.d_x), _features(grid)))
+    coords = grid.x_mesh() + grid.v_mesh()
+    eta = [p.sigma, p.alpha, p.beta] + [p.B[i, a] for i, a in _free_entries(p.B.shape[0], grid.d_x)]
+    expo = sum(c * _quadratic(form, coords)
+               for c, form in zip(eta, _forms(grid.d_v, grid.d_x)[1:]))
     return DistributionField(0.0, p.prefactor(grid.d_x) * np.exp(expo), grid)
 
 
@@ -115,54 +122,35 @@ class MaxwellianFit:
     params: TravelingMaxwellianParams
     residual: float
     converged: bool
-
-
-def _rows(a, rows):
-    """The rows of a's first axis, or a itself where that axis broadcasts."""
-    return a if a.shape[0] == 1 else a[rows]
+    evaluations: int  # model evaluations, each one slab pass
 
 
 def _slab_sums(part, grid: Grid):
-    """The sums over the slabs of threads.slab_rows of part(rows), a tuple of
-    numbers or arrays; the slabs run on the pool and add up in slab order."""
-    return [sum(pieces) for pieces in zip(*pool_map(part, slab_rows(grid)))]
+    """The sums over the slabs of threads.slab_rows of part(cell centres (x, v) on the rows,
+    rows), a tuple of numbers or arrays; the slabs run on the pool and add up in slab order."""
+    mesh = grid.x_mesh() + grid.v_mesh()  # only the first spans the rows
+    return [sum(pieces) for pieces in zip(*pool_map(
+        lambda rows: part([mesh[0][rows]] + mesh[1:], rows), slab_rows(grid)))]
 
 
-def _moments(field: DistributionField):
-    """Mass, squared L2 norm and the integrals of u_i u_j f, u = (v, x), of the
-    field f, in one slab pass."""
-    grid, values = field.grid, field.values
-    coords = grid.v_mesh() + grid.x_mesh()
-
-    def part(rows):
-        # np.sum's pairwise sums: an in-family fit ends at its round-off
-        # residual, which a start summed by np.einsum moved by 6e-3 relative
-        fs = values[rows]
-        cs = [_rows(c, rows) for c in coords]
-        cov = np.empty((len(cs), len(cs)))
-        for i in range(len(cs)):
-            for j in range(i, len(cs)):
-                cov[i, j] = cov[j, i] = np.sum(fs * cs[i] * cs[j])
-        return np.sum(fs), np.sum(fs * fs), cov
-
-    total, square, cov = _slab_sums(part, grid)
-    vol = grid.cell_volume
-    return float(total) * vol, float(square) * vol, cov * vol
+def _power_sums(values, coords, order):
+    """sum values prod_a u_a^p_a for every p in {0, ..., order}^D, indexed [p_0, ...]:
+    one tensordot per axis with its powers, the last axis (the one pass over values) first."""
+    for a in reversed(range(len(coords))):
+        values = np.tensordot(values, np.vander(coords[a].ravel(), order + 1, True), (a, 0))
+    return values.transpose()
 
 
-def _project_params(mass, cov, d, d_x):
-    """Moment-matching projection of an inverse covariance onto the family."""
-    s = np.linalg.inv(cov)
-    sigma = float(np.trace(s[:d, :d])) / d
-    alpha = float(np.trace(s[d:, d:])) / max(d_x, 1)
-    c = s[:d, d:]
-    beta = float(np.trace(c[:d_x, :d_x])) / max(d_x, 1)
-    b = np.zeros((d, d))
-    for i, a in _free_entries(d, d_x):
-        # the antisymmetric part where both axes are spatial, else C_ia itself
-        b[i, a] = 0.5 * (c[i, a] - c[a, i]) if i < d_x else c[i, a]
-        b[a, i] = -b[i, a]
-    return TravelingMaxwellianParams(mass, alpha, sigma, beta, b)
+def _moments(sums, rank):
+    """The moments sum f u_a u_b ... (rank indices) in u = (x, v, 1) from f's power sums."""
+    unit = np.vstack([np.eye(sums.ndim, dtype=int), np.zeros(sums.ndim, dtype=int)])
+    powers = sum(unit[index] for index in np.ix_(*[range(sums.ndim + 1)] * rank))
+    return sums[tuple(np.moveaxis(powers, -1, 0))]
+
+
+def _weight(coords, d_x):
+    """The factors 1 + |v|^2 and 1 + |x|^2 of <v>^2 <x>^2 on the cell centres (x, v)."""
+    return 1.0 + sum(v * v for v in coords[d_x:]), 1.0 + sum(x * x for x in coords[:d_x])
 
 
 def _member(eta, d, d_x):
@@ -176,6 +164,32 @@ def _member(eta, d, d_x):
     return p
 
 
+def _normal_equations(eta, wf, grid: Grid):
+    """|r|^2, J^T J and J^T r of r = wf - w M, J_k = w M psi_k, for M = exp(sum_k eta_k
+    psi_k) and w = <v>^2 <x>^2, in one slab pass.  With psi_k = u^T A_k u, J^T J_kj is
+    A_k and A_j contracted with the fourth moments of (w M)^2, J^T r_k is A_k contracted
+    with the second moments of w M r, and a slab sums each in one pass (_power_sums)."""
+    forms = _forms(grid.d_v, grid.d_x)
+
+    def part(coords, rows):
+        # the arithmetic of maxwellian_sharp_field, so that an in-family fit ends where
+        # the model is the sampled member, whatever the slabs
+        wm = np.exp(sum(c * _quadratic(form, coords) for c, form in zip(eta[1:], forms[1:])))
+        w_v, w_x = _weight(coords, grid.d_x)
+        wm *= math.exp(eta[0]) * w_x
+        wm *= w_v
+        wr = wf[rows] - wm
+        cost = np.einsum("i,i->", wr.ravel(), wr.ravel())
+        wr *= wm
+        h = _power_sums(wr, coords, 2)
+        wm *= wm
+        return cost, _power_sums(wm, coords, 4), h
+
+    cost, g, h = _slab_sums(part, grid)
+    jtj = np.einsum("kab,abcd,jcd->kj", forms, _moments(g, 4), forms)
+    return float(cost), jtj, np.einsum("kab,ab->k", forms, _moments(h, 2))
+
+
 def fit_maxwellian(sharp_field: DistributionField):
     """Project f-sharp data onto the traveling Maxwellian family.
 
@@ -186,60 +200,39 @@ def fit_maxwellian(sharp_field: DistributionField):
     residual by at most FIT_RTOL of it, or a trial step moved the weighted model
     by at most FIT_RTOL of its norm (round-off reached); not converged: the
     FIT_MAX_STEPS trials ran out.  A feature that is 0 on the grid keeps its start.
-
-    The start's moments and each model evaluation are one slab pass on the
-    pool of threads (threads.slab_rows), whose sums the calling thread adds in
-    slab order: the fit does not depend on the number of threads, and the slab
-    size moves it within round-off.
+    The start's moments and each model evaluation are one slab pass on the pool
+    (threads.slab_rows), whose sums the calling thread adds in slab order: the fit
+    does not depend on the number of threads, and the slab size moves it within
+    round-off.
     """
-    grid = sharp_field.grid
-    values = sharp_field.values
-    mass, square, moments = _moments(sharp_field)
+    grid, values = sharp_field.grid, sharp_field.values
+    sums, square = _slab_sums(lambda u, rows: (
+        _power_sums(values[rows], u, 2), np.einsum("i,i->", *[values[rows].ravel()] * 2)), grid)
+    moments = _moments(sums, 2) * grid.cell_volume
+    mass, square = float(moments[-1, -1]), float(square) * grid.cell_volume
     if mass <= 1e-12 * max(math.sqrt(square), 1e-300) or mass <= 0.0:
         raise ZeroMass("cannot fit a traveling Maxwellian to (near) zero mass data")
 
     d, d_x = grid.d_v, grid.d_x
-    try:
-        start = _project_params(mass, moments / mass, d, d_x)
-        start.validate(d_x)
+    forms = _forms(d, d_x)[1:, :-1, :-1]
+    try:  # -u^T s u / 2, s the inverse covariance, projected onto the (orthogonal) forms
+        sym = forms + forms.transpose(0, 2, 1)
+        eta = -np.einsum("kab,ab->k", sym, np.linalg.inv(moments[:-1, :-1] / mass))
+        eta = np.r_[0.0, eta / np.maximum(np.einsum("kab,kab->k", sym, sym), 1.0)]
+        _member(eta, d, d_x)
     except (ConstraintViolated, np.linalg.LinAlgError):
-        start = TravelingMaxwellianParams(mass, 1.0, 1.0, 0.0, np.zeros((d, d)))
-    # d log M-sharp / d eta, each with the field's axes (the x features are the scalar 0 at d_x = 0)
-    columns = [np.full((1,) * values.ndim, psi) if np.ndim(psi) == 0 else psi
-               for psi in [1.0] + _features(grid)]
-    w = (1.0 + sum(v * v for v in grid.v_mesh())) * (1.0 + sum(x * x for x in grid.x_mesh()))
-    wf = values * w
-    sub = "abcdef"[:values.ndim]
-    two, three = f"{sub},{sub}->", f"{sub},{sub},{sub}->"  # sums of products, no temporaries
-    n = len(columns)
-
-    def evaluate(eta):
-        """|r|^2, J^T J and J^T r of r = w (f_sharp - M_sharp), J_k = w M_sharp psi_k,
-        in one slab pass."""
-        def part(rows):
-            cols = [_rows(psi, rows) for psi in columns]
-            wm = math.exp(eta[0]) * np.exp(sum(c * psi for c, psi in zip(eta[1:], cols[1:])))
-            wm *= _rows(w, rows)
-            wr = _rows(wf, rows) - wm
-            g, h = wm * wm, wm * wr
-            jtj = np.empty((n, n))
-            for k in range(n):
-                for j in range(k, n):
-                    jtj[k, j] = jtj[j, k] = np.einsum(three, g, cols[k], cols[j])
-            return np.einsum(two, wr, wr), jtj, np.array([np.einsum(two, h, psi) for psi in cols])
-
-        cost, jtj, jtr = _slab_sums(part, grid)
-        return float(cost), jtj, jtr
-
-    eta = np.array([math.log(start.prefactor(d_x))] + _coords(start, d_x))
-    cost, jtj, jtr = evaluate(eta)
-    lam, converged = 1e-3, False
+        eta = np.r_[0.0, 1.0, 1.0, np.zeros(len(forms) - 2)]
+    eta[0] = math.log(mass / _member(eta, d, d_x).m)
+    wf = math.prod(_weight(grid.x_mesh() + grid.v_mesh(), d_x), start=values)
+    cost, jtj, jtr = _normal_equations(eta, wf, grid)
+    evaluations, lam, converged = 1, 1e-3, False
     for _ in range(FIT_MAX_STEPS):
         scale = np.sqrt(np.diag(jtj))
         scale[scale == 0.0] = 1.0
-        damped = jtj / np.outer(scale, scale) + lam * np.eye(n)
+        damped = jtj / np.outer(scale, scale) + lam * np.eye(len(eta))
         step = np.linalg.lstsq(damped, jtr / scale, rcond=None)[0] / scale
-        trial = evaluate(eta + step)
+        trial = _normal_equations(eta + step, wf, grid)
+        evaluations += 1
         if trial[0] < cost:
             converged = cost - trial[0] <= FIT_RTOL * cost
             eta, lam = eta + step, lam / 10.0
@@ -249,4 +242,5 @@ def fit_maxwellian(sharp_field: DistributionField):
         if converged or step @ jtj @ step <= FIT_RTOL ** 2 * jtj[0, 0]:
             converged = True
             break
-    return MaxwellianFit(_member(eta, d, d_x), math.sqrt(cost * grid.cell_volume), converged)
+    return MaxwellianFit(_member(eta, d, d_x), math.sqrt(cost * grid.cell_volume), converged,
+                         evaluations)

@@ -18,8 +18,10 @@ import os
 # (MALLOC_ARENA_MAX=1).  On 2 threads (medians of 15 records at t = 0.5), 2^16
 # points took 414-479 ms against 381-422 ms on the free_stream bench grid,
 # where a slab is one row and its halo two more, and 65-73 ms against 70-80 ms
-# on near_vacuum's.  The maxwellian_fit bench process peaks at 64.8 MB with the
-# fit on these slabs, against 69.6 MB with full-grid passes.  The record's
+# on near_vacuum's.  The maxwellian_fit bench process peaks at 57.9 MB with the
+# fit on these slabs, each reduced against per-axis powers (medians of 10 runs),
+# against 65.0 MB when each slab took products with full-grid feature fields
+# and 69.6 MB with full-grid passes.  The record's
 # f-sharp distance shifts slabs of the first velocity axis under the same rule
 # (velocity_slab_rows), so that its temporaries too are a slab's.
 SLAB_POINTS = 2 ** 16

@@ -239,8 +239,9 @@ def test_cli_maxfit_on_checkpoint(tmp_path, capsys):
     main(["run", "--config", cfg, "--output", out, "--quiet"])
     code = main(["maxfit", out + "/final.lndk"])
     assert code == 0
-    text = capsys.readouterr().out
-    assert "residual" in text
+    first = capsys.readouterr().out.splitlines()[0]
+    assert "residual" in first
+    assert int(first.split(" evaluations ")[1].split()[0]) >= 1
 
 
 def test_cli_error_exit_code(tmp_path):
@@ -313,6 +314,36 @@ def test_cli_run_refuses_a_malformed_config(tmp_path, capsys, edit, error):
     assert main(["run", "--config", path, "--quiet"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {error}: ")
+
+
+@pytest.mark.parametrize("kind, parameters, key", [
+    ("gaussian", {"x_width": "wide"}, "x_width"),
+    ("gaussian", {"v_width": [1.0]}, "v_width"),
+    ("gaussian", {"x_center": None}, "x_center"),
+    ("seed", {"x_width": 0.0}, "x_width"),
+    ("gaussian", {"v_width": 0.0}, "v_width"),
+    ("gaussian", {"x_width": -35.0}, "x_width"),
+    ("seed", {"v_width": float("inf")}, "v_width"),
+    ("maxwellian", {"m": "one"}, "m"),
+    ("maxwellian", {"alpha": "a"}, "alpha"),
+    ("maxwellian", {"sigma": {}}, "sigma"),
+    ("maxwellian", {"beta": "b"}, "beta"),
+    ("maxwellian", {"B": "skew"}, "B"),
+    ("maxwellian", {"B": [[0.0, 1.0], [-1.0]]}, "B"),
+    ("maxwellian", {"B": [[0.0] * 3] * 3}, "B"),
+], ids=["x_width-string", "v_width-list", "x_center-null", "x_width-0", "v_width-0",
+        "x_width-negative", "v_width-inf", "m-string", "alpha-string", "sigma-object",
+        "beta-string", "B-string", "B-ragged", "B-3x3-at-d_v-2"])
+def test_cli_run_names_a_malformed_initial_data_parameter(tmp_path, capsys, kind, parameters,
+                                                          key):
+    path = _write_cfg(tmp_path)
+    raw = json.loads(open(path).read())
+    raw["initial_data"] = {"kind": kind, "parameters": parameters}
+    with open(path, "w") as fh:
+        json.dump(raw, fh)
+    assert main(["run", "--config", path, "--quiet"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: ConfigInvalid: initial_data: {key} ")
 
 
 def test_cli_import_loads_no_scipy():

@@ -13,7 +13,7 @@ import landau.threads
 from landau.cli import main, save_checkpoint
 from landau.config import SimulationConfig, initial_data
 from landau.errors import ConstraintViolated, ZeroMass
-from landau.maxwellian import (MaxwellianFit, TravelingMaxwellianParams,
+from landau.maxwellian import (MaxwellianFit, TravelingMaxwellianParams, _normal_equations,
                                eval_maxwellian, fit_maxwellian, maxwellian_sharp_field)
 from landau.phase_state import DistributionField, Grid
 
@@ -182,7 +182,8 @@ def _slab_fields():
 
 def _fit_tuple(fit):
     p = fit.params
-    return (p.m, p.alpha, p.sigma, p.beta, p.B.tolist(), fit.residual, fit.converged)
+    return (p.m, p.alpha, p.sigma, p.beta, p.B.tolist(), fit.residual, fit.converged,
+            fit.evaluations)
 
 
 @pytest.mark.parametrize("name", ["d_x=1", "d_x=d_v=2", "two_bump"])
@@ -222,3 +223,47 @@ def test_fit_slabs_move_it_within_round_off(name, monkeypatch):
             assert abs(got) <= 1e-14 * sigma and abs(want) <= 1e-14 * sigma
         else:
             assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def _pointwise_normal_equations(eta, values, grid):
+    """|r|^2, J^T J and J^T r of r = w (f - M), J_k = w M psi_k, as pointwise sums over
+    the whole grid with each feature psi_k a full-shape array."""
+    vs, xs = grid.v_mesh(), grid.x_mesh()
+    feats = [-0.5 * sum(v * v for v in vs), -0.5 * sum(x * x for x in xs),
+             -sum(v * x for v, x in zip(vs, xs))]
+    for i in range(grid.d_v):
+        for a in range(min(i, grid.d_x)):
+            feats.append(-(vs[i] * xs[a] - (vs[a] * xs[i] if i < grid.d_x else 0.0)))
+    columns = [np.broadcast_to(psi, values.shape) for psi in [1.0] + feats]
+    w = (1.0 + sum(v * v for v in vs)) * (1.0 + sum(x * x for x in xs))
+    wm = math.exp(eta[0]) * np.exp(sum(c * psi for c, psi in zip(eta[1:], columns[1:]))) * w
+    wr = values * w - wm
+    sub = "abcdef"[:values.ndim]
+    two, three = f"{sub},{sub}->", f"{sub},{sub},{sub}->"
+    jtj = np.array([[np.einsum(three, wm * wm, ck, cj) for cj in columns] for ck in columns])
+    return (float(np.einsum(two, wr, wr)), jtj,
+            np.array([np.einsum(two, wm * wr, psi) for psi in columns]))
+
+
+@pytest.mark.parametrize("grid", [
+    Grid(0, 2, 1, 16, 1.0, 5.0), Grid(1, 2, 12, 16, 10.0, 5.0), Grid(2, 2, 8, 10, 10.0, 5.0),
+    Grid(3, 3, 6, 6, 10.0, 5.0), Grid(1, 2, 1, 16, 10.0, 5.0),
+], ids=["d_x=0", "d_x=1", "d_x=2", "d_x=d_v=3", "one-cell-at-x=0"])
+def test_normal_equations_match_the_pointwise_sums(grid, monkeypatch):
+    # the moment-tensor sums against the pointwise ones, on one-row slabs, at random eta;
+    # J^T J_kj is measured against sqrt(J^T J_kk J^T J_jj) and J^T r_k against
+    # sqrt(J^T J_kk |r|^2), the Cauchy-Schwarz bounds, which are 0 for a feature 0 on the grid
+    monkeypatch.setattr(landau.threads, "SLAB_POINTS", 1)
+    rng = np.random.default_rng([5, grid.d_x, grid.d_v, grid.n_x])
+    values = rng.random(grid.shape)
+    w = (1.0 + sum(v * v for v in grid.v_mesh())) * (1.0 + sum(x * x for x in grid.x_mesh()))
+    free = sum(min(i, grid.d_x) for i in range(grid.d_v))
+    for _ in range(3):
+        eta = np.concatenate([rng.uniform(-1.0, 1.0, 1), rng.uniform(0.3, 1.0, 1),
+                              rng.uniform(0.02, 0.1, 1), rng.uniform(-0.1, 0.1, 1 + free)])
+        cost, jtj, jtr = _normal_equations(eta, values * w, grid)
+        want_cost, want_jtj, want_jtr = _pointwise_normal_equations(eta, values, grid)
+        scale = np.sqrt(np.diag(want_jtj))
+        assert abs(cost - want_cost) <= 1e-12 * want_cost
+        assert np.all(np.abs(jtj - want_jtj) <= 1e-12 * np.outer(scale, scale))
+        assert np.all(np.abs(jtr - want_jtr) <= 1e-12 * scale * math.sqrt(want_cost))
