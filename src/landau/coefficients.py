@@ -169,13 +169,23 @@ def _table_names(d, tables):
     return [name for name in names if name[0] in tables]
 
 
+def _check_dimension(grid: Grid, p: KernelParams):
+    if grid.d_v != p.d:
+        raise ValueError("grid velocity dimension and kernel dimension differ")
+
+
+def check_sign(peak, low):
+    """Raise NegativeInput if low, a field's least value, is below -CLIP_REL_TOL of peak, its greatest."""
+    if peak > 0.0 and low < -CLIP_REL_TOL * peak:
+        raise NegativeInput("distribution has negative values beyond round-off")
+
+
 def _checked_tables(f: DistributionField, p: KernelParams):
     """kernel_tables of f's grid, once the kernel's dimension and f's sign are checked."""
-    if f.grid.d_v != p.d:
-        raise ValueError("grid velocity dimension and kernel dimension differ")
+    _check_dimension(f.grid, p)
     peak = float(np.max(f.values, initial=0.0))
-    if peak > 0.0 and float(np.min(f.values)) < -CLIP_REL_TOL * peak:
-        raise NegativeInput("distribution has negative values beyond round-off")
+    if peak > 0.0:
+        check_sign(peak, float(np.min(f.values)))
     return kernel_tables(f.grid, p)
 
 
@@ -184,14 +194,13 @@ def cell_view(values, grid: Grid):
     return values.reshape((-1,) + (grid.n_v,) * grid.d_v)
 
 
-def data_cells(values, grid: Grid):
-    """The cells of cell_view(values, grid) whose max is at least DATA_TOL of the peak.
+def data_cells(cell_max):
+    """The cells whose max, cell_max (a value per cell of cell_view), is at least DATA_TOL of the peak.
 
     An increasing index array, empty when no value is positive: the
     coefficients of max(f, 0) vanish there.  With d_x = 0 the one cell holds
     the peak, so it is always picked.
     """
-    cell_max = np.max(cell_view(values, grid), axis=tuple(range(1, grid.d_v + 1)))
     peak = float(np.max(cell_max))
     return np.flatnonzero(cell_max >= DATA_TOL * peak) if peak > 0.0 else np.arange(0)
 
@@ -232,10 +241,19 @@ def coefficient_pass(f: DistributionField, p: KernelParams, tables, consume, cel
     Each cell's arithmetic does not depend on the others, so neither do the
     results on the number of threads, the block size or the cells visited.
     """
-    grid = f.grid
-    _, fft_tables = _checked_tables(f, p)
+    _checked_tables(f, p)
+    return convolve_cells(f.values, f.grid, p, tables, consume, cells)
+
+
+def convolve_cells(values, grid: Grid, p: KernelParams, tables, consume, cells):
+    """coefficient_pass on a field's values, whose sign the caller has checked (check_sign).
+
+    The stepper checks each stage's sign from the extrema its workers took.
+    """
+    _check_dimension(grid, p)
+    _, fft_tables = kernel_tables(grid, p)
     names = _table_names(grid.d_v, tables)
-    fv = cell_view(f.values, grid)
+    fv = cell_view(values, grid)
 
     def block(bounds):
         picked = cells[slice(*bounds)]

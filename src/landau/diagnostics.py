@@ -336,7 +336,7 @@ def _coefficient_sups(f: DistributionField, p, vb):
         return (np.max(np.abs(diffusion) / null_weight),
                 out["plain"], out["weighted_down"], out["c_sup"])
 
-    cells = data_cells(f.values, grid)
+    cells = data_cells(np.max(fv, axis=tuple(range(1, grid.d_v + 1))))
     bounds = sup_bounds(f, p, cells, null_weight)
     top = np.max(bounds, axis=0, initial=0.0)
     share = np.divide(bounds, top, out=np.zeros_like(bounds), where=top > 0.0)

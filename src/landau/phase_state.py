@@ -161,6 +161,17 @@ def gaussian_exponent(t, spec: WeightSpec):
     return spec.d0 * (1.0 + (1.0 + t) ** (-spec.delta))
 
 
+def cell_extrema(values, d_v):
+    """The max and min of each spatial cell of values, over its last d_v axes.
+
+    A (2, cells) array, the cells in C order: for a whole field, the rows of
+    coefficients.cell_view.  NaN propagates to both rows, +inf to the max and
+    -inf to the min, so a cell's values are finite exactly where both are.
+    """
+    axes = tuple(range(values.ndim - d_v, values.ndim))
+    return np.stack([np.max(values, axis=axes).reshape(-1), np.min(values, axis=axes).reshape(-1)])
+
+
 def bracket(u_squared):
     """Japanese bracket <u> = (1 + |u|^2)^(1/2) from |u|^2."""
     return np.sqrt(1.0 + u_squared)

@@ -3,10 +3,18 @@
 Transport is spectrally exact, so the splitting error is localized in the
 collision substep, an explicit midpoint (RK2) update with coefficients
 recomputed at each stage and CFL-limited sub-cycling.  Each stage updates only
-the cells whose max f is at least DATA_TOL of the peak (data_cells); Q is 0 in
-the others, whose update would be below CLIP_REL_TOL of it.  Negative values
+the cells whose max f is at least DATA_TOL of the peak (data_cells); the
+others keep their values, as their update would be below CLIP_REL_TOL of it.  Negative values
 created by the update are clipped to zero; the clipped mass is accumulated and
 run() aborts if it exceeds CLIP_BUDGET of the initial mass.
+
+A Strang step decides from each field's cell_extrema, the max and min of
+every spatial cell, which the pool's workers take as they write the values:
+the transport chunks as they shift, and the coefficient pass's consumers as
+they apply the RK2 update to their block.  The sign gate, the data cells, the
+clip floor, the cells the clip visits and the finiteness check all come from
+the extrema, so the calling thread scans no full field.  A stage writes into
+a field the step made, never into the one the step was given.
 """
 
 import math
@@ -14,14 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CLIP_REL_TOL, cell_view, coefficient_pass, data_cells, distinct_a_bar
+from .coefficients import (CLIP_REL_TOL, cell_view, check_sign, convolve_cells, data_cells,
+                           distinct_a_bar)
 from .collision import apply_collision_divergence
 from .config import SimulationConfig, initial_data, validate_config
 from .diagnostics import ENormAccumulator, make_record
 from .errors import CflViolation, ClipBudgetExceeded, NanDetected
 from .kernel import KernelParams
-from .phase_state import DistributionField
-from .transport import pullback_sharp, transport_shift
+from .phase_state import DistributionField, cell_extrema
+from .threads import pool_map
+from .transport import pullback_sharp, shift_with_extrema, transport_shift
 
 CLIP_BUDGET = 1e-8
 MAX_SUBCYCLES = 10000
@@ -32,19 +42,26 @@ class RunState:
     clipped_mass: float = 0.0
 
 
-def _clip(values, state: RunState, cell_volume):
-    """Zero out negatives beyond round-off, accumulating the clipped mass.
+def _clip(values, ext, state: RunState, grid):
+    """Zero out negatives beyond round-off, in place, accumulating the clipped mass.
 
+    values is a field the step made and ext its cell_extrema, kept up to date.
     Negatives within CLIP_REL_TOL of the peak are spectral-shift round-off and
     are left in place: zeroing them would carve kinks into the tails whose own
-    ringing grows from step to step.
+    ringing grows from step to step.  Only the cells whose min is below the
+    floor are visited, in increasing order, so the clipped mass sums the same
+    values in the same order as a pass over the whole field would.
     """
-    floor = -CLIP_REL_TOL * float(np.max(values, initial=0.0))
-    neg = values < floor
-    if np.any(neg):
-        state.clipped_mass += -float(np.sum(values[neg])) * cell_volume
-        values = np.where(neg, 0.0, values)
-    return values
+    floor = -CLIP_REL_TOL * float(np.max(ext[0], initial=0.0))
+    flagged = np.flatnonzero(ext[1] < floor)
+    if flagged.size:
+        cells = cell_view(values, grid)
+        block = cells[flagged]
+        neg = block < floor
+        state.clipped_mass += -float(np.sum(block[neg])) * grid.cell_volume
+        block[neg] = 0.0
+        cells[flagged] = block
+        ext[:, flagged] = cell_extrema(block, grid.d_v)
 
 
 def _collision_dt(amax, cmax, grid, cfl_safety):
@@ -57,55 +74,96 @@ def _collision_dt(amax, cmax, grid, cfl_safety):
     return dt
 
 
-def _collision_rhs(vals, grid, p: KernelParams, with_c=False):
-    """Q(f) in flux form by one coefficient pass over data_cells, block by block.
-
-    Q is 0 in the cells the pass skips.  Returns Q and, per block, (max
-    |a_bar_ij|, max |c_bar|) over its cells if with_c, else None.
-    """
-    rhs = np.zeros(vals.shape)
-    q, fv = cell_view(rhs, grid), cell_view(vals, grid)
-
-    def stage(cells, coeffs):
-        q[cells] = apply_collision_divergence(fv[cells], coeffs, grid)
-        if with_c:
-            return (np.max([np.max(np.abs(comp)) for comp in distinct_a_bar(coeffs)]),
-                    np.max(np.abs(coeffs.c_bar)))
-
-    maxima = coefficient_pass(DistributionField(0.0, vals, grid), p,
-                              "abc" if with_c else "ab", stage, data_cells(vals, grid))
-    return rhs, maxima
-
-
 def _check_finite(values, step):
+    """values, or the cell_extrema of a field, hold only finite numbers."""
     if not np.all(np.isfinite(values)):
         raise NanDetected(f"{step} produced nonfinite values")
 
 
-def collision_substep(f: DistributionField, dt, p: KernelParams, cfl_safety,
-                      state: RunState):
-    """Sub-cycled RK2 integration of d_t f = Q(f, f) at fixed x."""
-    grid = f.grid
-    if float(np.max(f.values)) == 0.0:
-        return DistributionField(f.time, f.values, f.grid)
-    vals = f.values
-    k1, maxima = _collision_rhs(vals, grid, p, with_c=True)
+def _stage_pass(src, ext, grid, p: KernelParams, tables, consume):
+    """consume(cells, coeffs) on the blocks of src's data cells, src's sign checked.
+
+    ext is src's cell_extrema; it gates the sign and picks the cells.
+    """
+    check_sign(float(np.max(ext[0], initial=0.0)), float(np.min(ext[1])))
+    return convolve_cells(src, grid, p, tables, consume, data_cells(ext[0]))
+
+
+def _update(out, base, cells, step, q, d_v):
+    """out[cells] = base[cells] + step q, on cell views; the cells and their cell_extrema."""
+    new = base[cells] + step * q
+    out[cells] = new
+    return cells, cell_extrema(new, d_v)
+
+
+def _settle(values, ext, parts, state: RunState, grid):
+    """A stage's block extrema into ext, then its clip and its finiteness check."""
+    for cells, part in parts:
+        ext[:, cells] = part
+    _clip(values, ext, state, grid)
+    _check_finite(ext, "collision substep")
+
+
+def _rhs_blocks(vals, ext, grid, p: KernelParams):
+    """Q(vals) on each block of data cells, (cells, Q, max |a_bar_ij|, max |c_bar|) a block."""
+    fv = cell_view(vals, grid)
+
+    def rhs(cells, coeffs):
+        return (cells, apply_collision_divergence(fv[cells], coeffs, grid),
+                np.max([np.max(np.abs(comp)) for comp in distinct_a_bar(coeffs)]),
+                np.max(np.abs(coeffs.c_bar)))
+
+    return _stage_pass(vals, ext, grid, p, "abc", rhs)
+
+
+def _collide(vals, ext, dt, p: KernelParams, cfl_safety, state: RunState, grid):
+    """Sub-cycled RK2 integration of d_t f = Q(f, f) at fixed x, written into vals.
+
+    vals is a field the step made and ext its cell_extrema; both are updated.
+    The first stage's Q, held per block of data cells, sets the CFL step.
+    Each later stage's consumer applies the update to its own block, the
+    midpoint stage into a second field that holds vals in every other cell.
+    """
+    if float(np.max(ext[0])) == 0.0:
+        return
+    k1 = _rhs_blocks(vals, ext, grid, p)
     # a field with no positive value has no cell to visit, and Q = 0
-    amax, cmax = np.max(np.reshape(maxima, (-1, 2)), axis=0, initial=0.0)
+    amax, cmax = np.max(np.reshape([block[2:] for block in k1], (-1, 2)), axis=0, initial=0.0)
     dt_cfl = _collision_dt(float(amax), float(cmax), grid, cfl_safety)
     nsub = max(1, math.ceil(dt / dt_cfl)) if math.isfinite(dt_cfl) else 1
     if nsub > MAX_SUBCYCLES:
         raise CflViolation(f"{nsub} collision sub-cycles needed, cap {MAX_SUBCYCLES}")
     h = dt / nsub
-    vol = grid.cell_volume
+    mid = np.empty_like(vals)
+    fv, mv = cell_view(vals, grid), cell_view(mid, grid)
+
+    def midpoint(cells, coeffs):
+        return _update(mv, fv, cells, 0.5 * h, apply_collision_divergence(fv[cells], coeffs, grid),
+                       grid.d_v)
+
+    def endpoint(cells, coeffs):
+        return _update(fv, fv, cells, h, apply_collision_divergence(mv[cells], coeffs, grid),
+                       grid.d_v)
+
     for i in range(nsub):
-        if i > 0:
-            k1 = _collision_rhs(vals, grid, p)[0]
-        mid = _clip(vals + 0.5 * h * k1, state, vol)
-        k2 = _collision_rhs(mid, grid, p)[0]
-        vals = _clip(vals + h * k2, state, vol)
-        _check_finite(vals, "collision substep")
-    return DistributionField(f.time, vals, grid)
+        np.copyto(mid, vals)
+        mid_ext = ext.copy()
+        if i == 0:
+            parts = pool_map(lambda block: _update(mv, fv, block[0], 0.5 * h, block[1], grid.d_v),
+                             k1)
+            k1 = None
+        else:
+            parts = _stage_pass(vals, ext, grid, p, "ab", midpoint)
+        _settle(mid, mid_ext, parts, state, grid)
+        _settle(vals, ext, _stage_pass(mid, mid_ext, grid, p, "ab", endpoint), state, grid)
+
+
+def collision_substep(f: DistributionField, dt, p: KernelParams, cfl_safety,
+                      state: RunState):
+    """Sub-cycled RK2 integration of d_t f = Q(f, f) at fixed x; f is left as it is."""
+    vals = f.values.copy()
+    _collide(vals, cell_extrema(vals, f.grid.d_v), dt, p, cfl_safety, state, f.grid)
+    return DistributionField(f.time, vals, f.grid)
 
 
 def _transport(f: DistributionField, dt):
@@ -114,17 +172,21 @@ def _transport(f: DistributionField, dt):
     return out
 
 
+def _half_transport(f: DistributionField, dt, state: RunState):
+    """A Strang step's transport half and its cell_extrema, checked and clipped."""
+    out, ext = shift_with_extrema(f, dt)
+    _check_finite(ext, "transport")
+    _clip(out.values, ext, state, f.grid)
+    return out, ext
+
+
 def strang_step(f: DistributionField, dt, p: KernelParams, cfl_safety, state: RunState):
-    """T(dt/2) o C(dt) o T(dt/2)."""
+    """T(dt/2) o C(dt) o T(dt/2); f is left as it is."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    vol = f.grid.cell_volume
-    half = _transport(f, 0.5 * dt)
-    half.values = _clip(half.values, state, vol)
-    collided = collision_substep(half, dt, p, cfl_safety, state)
-    out = _transport(collided, 0.5 * dt)
-    out.values = _clip(out.values, state, vol)
-    return out
+    half, ext = _half_transport(f, 0.5 * dt, state)
+    _collide(half.values, ext, dt, p, cfl_safety, state, f.grid)
+    return _half_transport(half, 0.5 * dt, state)[0]
 
 
 def advance(cfg: SimulationConfig, f: DistributionField, p: KernelParams, state: RunState,

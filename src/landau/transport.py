@@ -13,7 +13,7 @@ its last-axis frequency is 0, and travels as wave number -pi/dx where it is not.
 
 import numpy as np
 
-from .phase_state import DistributionField
+from .phase_state import DistributionField, cell_extrema
 from .threads import pool_map, pool_threads
 
 # Chunks of the first velocity axis per pool thread.  More chunks hold less of
@@ -59,18 +59,40 @@ def transport_shift(f: DistributionField, dt):
     each transform writing its slice of one output array, so the result does
     not depend on the number of threads or chunks.
     """
+    return _shift(f, dt, lambda out: None)[0]
+
+
+def shift_with_extrema(f: DistributionField, dt):
+    """transport_shift(f, dt), and the cell_extrema of its values.
+
+    Each chunk's worker takes the extrema of its chunk of every cell as it
+    writes it, and the calling thread combines those few numbers per cell.
+    """
+    d_v = f.grid.d_v
+    out, parts = _shift(f, dt, lambda chunk: cell_extrema(chunk, d_v))
+    if parts is None:
+        return out, cell_extrema(out.values, d_v)
+    ext = parts[0]
+    for part in parts[1:]:
+        np.maximum(ext[0], part[0], out=ext[0])
+        np.minimum(ext[1], part[1], out=ext[1])
+    return out, ext
+
+
+def _shift(f: DistributionField, dt, per_chunk):
+    """The shifted field and per_chunk(chunk's output) of each chunk, or None for a copy."""
     grid = f.grid
     if grid.d_x == 0 or dt == 0.0:
-        return DistributionField(f.time + dt, f.values.copy(), grid)
+        return DistributionField(f.time + dt, f.values.copy(), grid), None
     shifted = np.empty(grid.shape)
 
     def shift(chunk):
-        shift_chunk(f, dt, chunk, shifted[(slice(None),) * grid.d_x + (chunk,)])
+        return per_chunk(shift_chunk(f, dt, chunk, shifted[(slice(None),) * grid.d_x + (chunk,)]))
 
     count = min(grid.n_v, CHUNKS_PER_THREAD * pool_threads())
     edges = [i * grid.n_v // count for i in range(count + 1)]
-    pool_map(shift, [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])])
-    return DistributionField(f.time + dt, shifted, grid)
+    parts = pool_map(shift, [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])])
+    return DistributionField(f.time + dt, shifted, grid), parts
 
 
 def free_solution(data: DistributionField, t):

@@ -11,6 +11,7 @@ import pytest
 
 import landau.coefficients
 import landau.threads
+import landau.transport
 from landau.coefficients import (CLIP_REL_TOL, block_cells, cell_view, compute_coefficients,
                                  data_cells, distinct_a_bar, kernel_tables)
 from landau.collision import apply_collision_divergence
@@ -18,11 +19,11 @@ from landau.config import SimulationConfig, initial_data
 from landau.diagnostics import conserved_moments
 from landau.errors import CflViolation, ClipBudgetExceeded, NanDetected, NegativeInput
 from landau.kernel import KernelParams
-from landau.phase_state import DistributionField, Grid
+from landau.phase_state import DistributionField, Grid, cell_extrema
 import landau.stepper
-from landau.stepper import (RunState, _collision_dt, _collision_rhs, advance, collision_substep,
-                            run, strang_step)
-from landau.transport import pullback_sharp
+from landau.stepper import (RunState, _collision_dt, _rhs_blocks, _stage_pass, advance,
+                            collision_substep, run, strang_step)
+from landau.transport import pullback_sharp, transport_shift
 
 
 def _small_cfg(**over):
@@ -79,6 +80,80 @@ def test_subcycle_cap_raises(monkeypatch):
         collision_substep(f, 10.0, KernelParams(-1.0, 2), 0.5, RunState())
 
 
+# The full-field Strang step: every stage's coefficients over the whole field,
+# Q zeroed outside the stage's data cells, and the clip over the whole field.
+# The stepper must match it bitwise.
+
+
+def _oracle_clip(values, state, cell_volume):
+    floor = -CLIP_REL_TOL * float(np.max(values, initial=0.0))
+    neg = values < floor
+    if np.any(neg):
+        state.clipped_mass += -float(np.sum(values[neg])) * cell_volume
+        values = np.where(neg, 0.0, values)
+    return values
+
+
+def _oracle_check_finite(values, step):
+    if not np.all(np.isfinite(values)):
+        raise NanDetected(f"{step} produced nonfinite values")
+
+
+def _oracle_rhs(vals, grid, p):
+    """Q over the data cells of vals, 0 elsewhere, and max |a_bar_ij|, |c_bar| over those cells."""
+    coeffs = compute_coefficients(DistributionField(0.0, vals, grid), p)
+    cells = data_cells(np.max(cell_view(vals, grid), axis=tuple(range(1, grid.d_v + 1))))
+    rhs = apply_collision_divergence(vals, coeffs, grid)
+    skipped = np.ones(cell_view(rhs, grid).shape[0], dtype=bool)
+    skipped[cells] = False
+    cell_view(rhs, grid)[skipped] = 0.0
+    amax = max(float(np.max(np.abs(cell_view(comp, grid)[cells]), initial=0.0))
+               for comp in distinct_a_bar(coeffs))
+    cmax = float(np.max(np.abs(cell_view(coeffs.c_bar, grid)[cells]), initial=0.0))
+    return rhs, amax, cmax
+
+
+def _oracle_substep(f, dt, p, cfl_safety, state):
+    grid = f.grid
+    if float(np.max(f.values)) == 0.0:
+        return DistributionField(f.time, f.values, grid)
+    vals = f.values
+    k1, amax, cmax = _oracle_rhs(vals, grid, p)
+    dt_cfl = _collision_dt(amax, cmax, grid, cfl_safety)
+    nsub = max(1, math.ceil(dt / dt_cfl)) if math.isfinite(dt_cfl) else 1
+    h = dt / nsub
+    vol = grid.cell_volume
+    for i in range(nsub):
+        if i > 0:
+            k1 = _oracle_rhs(vals, grid, p)[0]
+        mid = _oracle_clip(vals + 0.5 * h * k1, state, vol)
+        k2 = _oracle_rhs(mid, grid, p)[0]
+        vals = _oracle_clip(vals + h * k2, state, vol)
+        _oracle_check_finite(vals, "collision substep")
+    return DistributionField(f.time, vals, grid)
+
+
+def _oracle_strang_step(f, dt, p, cfl_safety, state):
+    vol = f.grid.cell_volume
+    half = transport_shift(f, 0.5 * dt)
+    _oracle_check_finite(half.values, "transport")
+    half.values = _oracle_clip(half.values, state, vol)
+    collided = _oracle_substep(half, dt, p, cfl_safety, state)
+    out = transport_shift(collided, 0.5 * dt)
+    _oracle_check_finite(out.values, "transport")
+    out.values = _oracle_clip(out.values, state, vol)
+    return out
+
+
+def _assemble_rhs(blocks, vals, grid):
+    """The blocks' Q as a field, 0 in the cells no block holds, and the cells the blocks hold."""
+    rhs = np.zeros(vals.shape)
+    for cells, q, *_ in blocks:
+        cell_view(rhs, grid)[cells] = q
+    held = np.concatenate([np.arange(0)] + [cells for cells, *_ in blocks])
+    return rhs, held
+
+
 @pytest.mark.parametrize("d_x, d_v", [(0, 2), (1, 2), (2, 2), (0, 3), (1, 3), (2, 3)])
 def test_blocked_rhs_is_the_full_field_operator(d_x, d_v, monkeypatch):
     # in blocks of 8 cells, 20 (d_x = 1) and 25 (d_x = 2) cells leave a partial last block
@@ -88,18 +163,26 @@ def test_blocked_rhs_is_the_full_field_operator(d_x, d_v, monkeypatch):
     p = KernelParams(-1.0 if d_v == 2 else -0.7, d_v)
     vals = np.exp(-g.v_squared()) * np.random.default_rng(10 * d_x + d_v).random(g.shape)
     f = DistributionField(0.0, vals, g)
-    rhs, maxima = _collision_rhs(vals, g, p, with_c=True)
+    ext = cell_extrema(vals, d_v)
+    blocks = _rhs_blocks(vals, ext, g, p)
+    rhs, held = _assemble_rhs(blocks, vals, g)
+    assert np.array_equal(held, np.arange(n_x ** d_x))
     coeffs = compute_coefficients(f, p)
     assert np.array_equal(rhs, apply_collision_divergence(vals, coeffs, g))
+    maxima = [block[2:] for block in blocks]
     amax = float(np.max([np.max(np.abs(comp)) for comp in distinct_a_bar(coeffs)]))
     cmax = float(np.max(np.abs(coeffs.c_bar)))
     assert tuple(np.max(maxima, axis=0)) == (amax, cmax)
     # the dt of the full fields: min of the diffusion and the reaction limits
     want = min(0.5 * g.dv ** 2 / (2.0 * d_v * amax), 0.5 / cmax)
     assert _collision_dt(*np.max(maxima, axis=0), g, 0.5) == want
-    rhs_ab, maxima_ab = _collision_rhs(vals, g, p)
+    # the later stages' passes convolve a and b alone, and give the same Q
+    fv = cell_view(vals, g)
+    blocks_ab = _stage_pass(vals, ext, g, p, "ab", lambda cells, coeffs: (
+        cells, apply_collision_divergence(fv[cells], coeffs, g), coeffs.c_bar))
+    rhs_ab, _ = _assemble_rhs(blocks_ab, vals, g)
     assert np.array_equal(rhs_ab, rhs)
-    assert maxima_ab == [None] * len(maxima)
+    assert [c_bar for *_, c_bar in blocks_ab] == [None] * len(blocks)
 
 
 @pytest.fixture(scope="module", params=["near_vacuum", "clipped"])
@@ -137,7 +220,7 @@ def test_skipped_cells_hold_updates_below_the_clip_floor(skipping_field):
         assert skipping_field["clipped"] > 0.0
     cell_max = np.max(cell_view(f.values, g), axis=(1, 2))
     peak = float(np.max(cell_max))
-    skipped = np.setdiff1d(np.arange(len(cell_max)), data_cells(f.values, g))
+    skipped = np.setdiff1d(np.arange(len(cell_max)), data_cells(cell_max))
     assert 0 < len(skipped) < len(cell_max)
     assert np.any(cell_max[skipped] >= CLIP_REL_TOL * peak)
     dt_cfl = _collision_dt(skipping_field["amax"], skipping_field["cmax"], g, 0.5)
@@ -148,40 +231,141 @@ def test_skipped_cells_hold_updates_below_the_clip_floor(skipping_field):
 def test_blocked_rhs_is_the_full_field_operator_on_data_cells(skipping_field):
     f = skipping_field["f"]
     g = f.grid
-    rhs, maxima = _collision_rhs(f.values, g, skipping_field["p"], with_c=True)
-    cells = data_cells(f.values, g)
+    ext = cell_extrema(f.values, g.d_v)
+    blocks = _rhs_blocks(f.values, ext, g, skipping_field["p"])
+    rhs, held = _assemble_rhs(blocks, f.values, g)
+    cells = data_cells(np.max(cell_view(f.values, g), axis=(1, 2)))
+    assert np.array_equal(held, cells)
     skipped = np.setdiff1d(np.arange(cell_view(rhs, g).shape[0]), cells)
     assert np.array_equal(cell_view(rhs, g)[cells], cell_view(skipping_field["q"], g)[cells])
     assert np.all(cell_view(rhs, g)[skipped] == 0.0)
+    maxima = [block[2:] for block in blocks]
     amax, cmax = skipping_field["amax"], skipping_field["cmax"]
     assert tuple(np.max(maxima, axis=0)) == (amax, cmax)
     assert _collision_dt(*np.max(maxima, axis=0), g, 0.5) == _collision_dt(amax, cmax, g, 0.5)
 
 
+def _assert_same_step(got, got_state, want, want_state):
+    assert got.time == want.time
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got_state.clipped_mass == want_state.clipped_mass
+
+
+def test_step_is_the_full_field_step(skipping_field):
+    f, p, dt = skipping_field["f"], skipping_field["p"], skipping_field["dt"]
+    for step, oracle in ((strang_step, _oracle_strang_step),
+                         (collision_substep, _oracle_substep)):
+        state, want_state = RunState(), RunState()
+        got = step(f, dt, p, 0.5, state)
+        _assert_same_step(got, state, oracle(f, dt, p, 0.5, want_state), want_state)
+        if skipping_field["kind"] == "clipped":
+            assert state.clipped_mass > 0.0
+
+
+def test_step_clips_a_skipped_cell_where_the_peak_moves_the_floor():
+    # cell 1's two bumps relax, and the peak falls from 0.779 to 0.768 in the
+    # midpoint stage and on in the endpoint's.  That raises the clip floor past
+    # a round-off negative in cell 2, which is skipped: at the input it is
+    # within the floor and passes the sign gate.  Both stages clip it, the
+    # midpoint in its own field and the endpoint in the result
+    g = Grid(1, 2, 4, 16, 40.0, 4.0)
+    p = KernelParams(-1.0, 2)
+    v1, v2 = g.v_mesh()
+    vals = np.full(g.shape, 1e-12)
+    vals[1] = np.exp(-((v1 - 1.5) ** 2 + v2 ** 2) / 0.5) + np.exp(-((v1 + 1.5) ** 2 + v2 ** 2) / 0.5)
+    vals[2, 5, 5] = -0.773 * CLIP_REL_TOL
+    f = DistributionField(0.0, vals, g)
+    assert vals[2, 5, 5] > -CLIP_REL_TOL * np.max(vals)
+    assert 2 not in data_cells(np.max(cell_view(vals, g), axis=(1, 2)))
+    state, want_state = RunState(), RunState()
+    got = collision_substep(f, 0.0026, p, 0.5, state)  # one sub-cycle
+    _assert_same_step(got, state, _oracle_substep(f, 0.0026, p, 0.5, want_state), want_state)
+    assert got.values[2, 5, 5] == 0.0
+
+
+def test_homogeneous_step_is_the_full_field_step():
+    # d_x = 0: the shift is a copy, whose one cell's extrema the calling thread takes
+    g = Grid(0, 2, 1, 24, 1.0, 5.0)
+    v1, v2 = g.v_mesh()
+    f = DistributionField(0.0, np.exp(-(v1 / 1.5) ** 2 - (v2 / 0.7) ** 2), g)
+    p = KernelParams(-1.0, 2)
+    state, want_state = RunState(), RunState()
+    got = strang_step(f, 0.1, p, 0.5, state)
+    _assert_same_step(got, state, _oracle_strang_step(f, 0.1, p, 0.5, want_state), want_state)
+
+
 def test_skipping_rhs_does_not_depend_on_threads_or_blocks(skipping_field, monkeypatch):
-    # one-cell blocks, blocks of 8 cells and the default, on 1 and 7 threads
-    f, p = skipping_field["f"], skipping_field["p"]
+    # the whole step, whose workers apply the update and take the extrema:
+    # one-cell blocks and blocks of 8 cells, on 1 and 7 threads, with the
+    # blocks and the transport chunks dealt for that many threads
+    f, p, dt = skipping_field["f"], skipping_field["p"], skipping_field["dt"]
     g = f.grid
-    want, want_maxima = _collision_rhs(f.values, g, p, with_c=True)
+    want_state = RunState()
+    want = strang_step(f, dt, p, 0.5, want_state)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for points in (1, 8 * g.n_v ** 2):
             monkeypatch.setattr(landau.coefficients, "BLOCK_POINTS", points)
             for threads in (1, 7):
+                monkeypatch.setattr(landau.threads, "_THREADS", threads)
+                state = RunState()
                 with ThreadPoolExecutor(threads) as pool:
                     monkeypatch.setattr(landau.threads, "_POOL", pool)
-                    rhs, maxima = _collision_rhs(f.values, g, p, with_c=True)
-                assert np.array_equal(rhs, want)
-                assert np.max(maxima, axis=0).tolist() == np.max(want_maxima, axis=0).tolist()
+                    got = strang_step(f, dt, p, 0.5, state)
+                _assert_same_step(got, state, want, want_state)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("stage", [0, 1, 2])
+def test_nonfinite_collision_stage_raises(stage, monkeypatch):
+    # Q turns nonfinite in one coefficient pass: the first (it sets the
+    # midpoint), the endpoint's, or the second sub-cycle's midpoint; the
+    # stage that takes it is caught
+    cfg = _small_cfg(n_x=16, n_v=12, L_x=160.0, epsilon=1.0)  # many sub-cycles
+    f = initial_data(cfg)
+    passes = []
+    convolve_cells = landau.stepper.convolve_cells
+
+    def counted(*args):
+        passes.append(1)
+        return convolve_cells(*args)
+
+    def poisoned(*args):
+        q = apply_collision_divergence(*args)
+        if len(passes) == stage + 1:
+            q[(0,) * q.ndim] = np.inf if stage == 1 else np.nan
+        return q
+
+    monkeypatch.setattr(landau.stepper, "convolve_cells", counted)
+    monkeypatch.setattr(landau.stepper, "apply_collision_divergence", poisoned)
+    with pytest.raises(NanDetected, match="collision substep"):
+        strang_step(f, 0.25, cfg.kernel_params(), 0.5, RunState())
+    assert len(passes) == stage + 1
+
+
+def test_step_leaves_its_input_unchanged(skipping_field):
+    # the stages write only into fields the step made: a read-only input
+    # would refuse a write
+    f = skipping_field["f"]
+    want = f.values.tobytes()
+    f.values.flags.writeable = False
+    try:
+        for step in (strang_step, collision_substep):
+            step(f, skipping_field["dt"], skipping_field["p"], 0.5, RunState())
+            assert f.values.tobytes() == want
+    finally:
+        f.values.flags.writeable = True
 
 
 def test_collision_substep_peak_is_a_few_fields(monkeypatch):
     # the stages build no full-field coefficients; a first stage that holds
     # all six of them next to the operator's temporaries peaks at 22 fields.
-    # 32 blocks, so that 8 block spectra per thread weigh 4 fields on 2 threads
+    # Three fields: the input's copy, the midpoint's field and the first
+    # stage's Q, held per block; 3.43 fields measured on 1 and 2 threads,
+    # 4.17 on 4.  32 blocks, so that 4 block spectra per thread weigh 2 fields
+    # on 2 threads
     n_v = 16
     g = Grid(1, 2, 32 * landau.coefficients.BLOCK_POINTS // n_v ** 2, n_v, 900.0, 6.0)
     p = KernelParams(-1.0, 2)
@@ -190,15 +374,17 @@ def test_collision_substep_peak_is_a_few_fields(monkeypatch):
     f = DistributionField(0.0, vals, g)
     # 1.5 CFL steps make two RK2 sub-cycles, so the later sub-cycles' first
     # stage is under the bound too: four passes
-    _, maxima = _collision_rhs(vals, g, p, with_c=True)  # the pool's threads exist
-    dt = 1.5 * _collision_dt(*np.max(maxima, axis=0), g, 0.5)
+    blocks = _rhs_blocks(vals, cell_extrema(vals, 2), g, p)  # the pool's threads exist
+    dt = 1.5 * _collision_dt(*np.max([block[2:] for block in blocks], axis=0), g, 0.5)
+    del blocks
     passes = []
+    convolve_cells = landau.stepper.convolve_cells
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         passes.append(1)
-        return _collision_rhs(*args, **kwargs)
+        return convolve_cells(*args)
 
-    monkeypatch.setattr(landau.stepper, "_collision_rhs", counted)
+    monkeypatch.setattr(landau.stepper, "convolve_cells", counted)
     threads = min(len(os.sched_getaffinity(0)), -(-g.n_x // block_cells(g)))
     block = block_cells(g) * (2 * g.n_v) ** 2 * 16  # one padded complex spectrum
     tracemalloc.start()
@@ -208,7 +394,7 @@ def test_collision_substep_peak_is_a_few_fields(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(passes) == 4
-    assert peak <= 8 * vals.nbytes + 8 * threads * block
+    assert peak <= 3 * vals.nbytes + 4 * threads * block
 
 
 def test_collision_substep_refuses_negative_input():
