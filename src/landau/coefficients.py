@@ -180,29 +180,23 @@ def check_sign(peak, low):
         raise NegativeInput("distribution has negative values beyond round-off")
 
 
-def _checked_tables(f: DistributionField, p: KernelParams):
-    """kernel_tables of f's grid, once the kernel's dimension and f's sign are checked."""
-    _check_dimension(f.grid, p)
-    peak = float(np.max(f.values, initial=0.0))
-    if peak > 0.0:
-        check_sign(peak, float(np.min(f.values)))
-    return kernel_tables(f.grid, p)
-
-
 def cell_view(values, grid: Grid):
     """values of the grid's shape viewed as (spatial cells,) + (n_v,) * d_v."""
     return values.reshape((-1,) + (grid.n_v,) * grid.d_v)
 
 
-def data_cells(cell_max):
-    """The cells whose max, cell_max (a value per cell of cell_view), is at least DATA_TOL of the peak.
+def data_cells(ext):
+    """The cells whose max is at least DATA_TOL of the peak, once the sign of every cell is checked.
 
-    An increasing index array, empty when no value is positive: the
-    coefficients of max(f, 0) vanish there.  With d_x = 0 the one cell holds
-    the peak, so it is always picked.
+    ext is a field's phase_state.cell_extrema, a max and a min per cell of
+    cell_view.  check_sign takes the peak and the least value of every cell,
+    data cell or not.  Returns an increasing index array, empty when no value
+    is positive: the coefficients of max(f, 0) vanish there.  With d_x = 0
+    the one cell holds the peak, so it is always picked.
     """
-    peak = float(np.max(cell_max))
-    return np.flatnonzero(cell_max >= DATA_TOL * peak) if peak > 0.0 else np.arange(0)
+    peak = float(np.max(ext[0], initial=0.0))
+    check_sign(peak, float(np.min(ext[1])))
+    return np.flatnonzero(ext[0] >= DATA_TOL * peak) if peak > 0.0 else np.arange(0)
 
 
 def _convolve_block(fv, fft_tables, names, grid: Grid):
@@ -227,28 +221,21 @@ def _convolve_block(fv, fft_tables, names, grid: Grid):
     return out
 
 
-def coefficient_pass(f: DistributionField, p: KernelParams, tables, consume, cells):
-    """consume(block, coeffs) on every block of the given spatial cells of f.
-
-    tables names the kernel tables to convolve: "a" and any of "b" and "c".
-    cells, an increasing index array of the cell axis of cell_view(f.values,
-    grid), picks the cells to visit.  The blocks are the cell_blocks of those
-    cells in blocks of at most block_cells(f.grid): block is an index array of
-    cells, and coeffs holds the block's convolution outputs in that layout,
-    with b_bar or c_bar None when not asked for.  The blocks run on the pool
-    of threads, each consumer on the thread of its block, so a consumer writes
-    only to its own cells.  Returns the consumers' results in block order.
-    Each cell's arithmetic does not depend on the others, so neither do the
-    results on the number of threads, the block size or the cells visited.
-    """
-    _checked_tables(f, p)
-    return convolve_cells(f.values, f.grid, p, tables, consume, cells)
-
-
 def convolve_cells(values, grid: Grid, p: KernelParams, tables, consume, cells):
-    """coefficient_pass on a field's values, whose sign the caller has checked (check_sign).
+    """consume(block, coeffs) on every block of the given spatial cells of a field's values.
 
-    The stepper checks each stage's sign from the extrema its workers took.
+    The caller has checked the values' sign: data_cells does, and so does
+    compute_coefficients.  tables names the kernel tables to convolve: "a"
+    and any of "b" and "c".  cells, an increasing index array of the cell
+    axis of cell_view(values, grid), picks the cells to visit.  The blocks
+    are the cell_blocks of those cells in blocks of at most
+    block_cells(grid): block is an index array of cells, and coeffs holds
+    the block's convolution outputs in that layout, with b_bar or c_bar None
+    when not asked for.  The blocks run on the pool of threads, each consumer
+    on the thread of its block, so a consumer writes only to its own cells.
+    Returns the consumers' results in block order.  Each cell's arithmetic
+    does not depend on the others, so neither do the results on the number
+    of threads, the block size or the cells visited.
     """
     _check_dimension(grid, p)
     _, fft_tables = kernel_tables(grid, p)
@@ -271,6 +258,8 @@ def compute_coefficients(f: DistributionField, p: KernelParams, method="fft"):
     """
     grid = f.grid
     d = grid.d_v
+    _check_dimension(grid, p)
+    check_sign(float(np.max(f.values, initial=0.0)), float(np.min(f.values)))
     names = _table_names(d, "abc")
     fv = cell_view(f.values, grid)
     if method == "fft":
@@ -280,9 +269,9 @@ def compute_coefficients(f: DistributionField, p: KernelParams, method="fft"):
             for dst, src in zip(out.values(), _components(block)):
                 dst[cells] = src
 
-        coefficient_pass(f, p, "abc", store, np.arange(len(fv)))
+        convolve_cells(f.values, grid, p, "abc", store, np.arange(len(fv)))
     elif method == "direct":
-        lattice, _ = _checked_tables(f, p)
+        lattice, _ = kernel_tables(grid, p)
         fv = np.maximum(fv, 0.0)
         n = grid.n_v
         out = {}

@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import (block_cells, cell_blocks, cell_view, coefficient_pass,
-                           coefficient_sup_norms, data_cells, table_bounds)
+from .coefficients import (block_cells, cell_blocks, cell_view, coefficient_sup_norms,
+                           convolve_cells, data_cells, table_bounds)
 from .collision import apply_collision_diffusion, diffusion_stencil_sum, h_functional
 from .errors import GammaOutOfRange, GridMismatch, InsufficientPoints, NonPositiveValue
-from .phase_state import DistributionField, Grid, WeightSpec, bracket, gaussian_weight_field
+from .phase_state import (DistributionField, Grid, WeightSpec, bracket, cell_extrema,
+                          gaussian_weight_field)
 from .threads import pool_map, pool_threads, slab_rows, velocity_slab_rows
 from .transport import shift_chunk
 
@@ -312,16 +313,18 @@ def sup_bounds(f: DistributionField, p, cells, null_weight):
     return np.concatenate([np.empty((0, 4)), *parts])
 
 
-def _coefficient_sups(f: DistributionField, p, vb):
+def _coefficient_sups(f: DistributionField, p, vb, ext):
     """(null_term_sup, a_bar_plain_sup, a_bar_weighted_sup, c_bar_sup) of f, with vb = <v>.
 
-    Each is the max over the stepper's cells (data_cells) of the cell's own,
-    and the cells are convolved in rounds of pool_threads() blocks, in
-    decreasing order of their largest sup_bounds relative to that column's
-    largest.  After each round the cells whose every bound, times (1 +
-    SUP_BOUND_MARGIN), is below the sups so far are dropped: they cannot
-    attain one.  So the sups are bitwise those of a pass over every data cell.
-    A field with no positive value has no data cell, and its sups are 0.
+    ext is f's cell_extrema, from which data_cells checks the sign of every
+    cell and picks the stepper's cells.  Each sup is the max over those cells
+    of the cell's own, and the cells are convolved in rounds of
+    pool_threads() blocks, in decreasing order of their largest sup_bounds
+    relative to that column's largest.  After each round the cells whose
+    every bound, times (1 + SUP_BOUND_MARGIN), is below the sups so far are
+    dropped: they cannot attain one.  So the sups are bitwise those of a pass
+    over every data cell.  A field with no positive value has no data cell,
+    and its sups are 0.
     """
     grid, t = f.grid, f.time
     fv = cell_view(f.values, grid)
@@ -336,7 +339,7 @@ def _coefficient_sups(f: DistributionField, p, vb):
         return (np.max(np.abs(diffusion) / null_weight),
                 out["plain"], out["weighted_down"], out["c_sup"])
 
-    cells = data_cells(np.max(fv, axis=tuple(range(1, grid.d_v + 1))))
+    cells = data_cells(ext)
     bounds = sup_bounds(f, p, cells, null_weight)
     top = np.max(bounds, axis=0, initial=0.0)
     share = np.divide(bounds, top, out=np.zeros_like(bounds), where=top > 0.0)
@@ -345,7 +348,7 @@ def _coefficient_sups(f: DistributionField, p, vb):
     per_round = pool_threads() * block_cells(grid)
     while order.size:
         visit, order = np.sort(order[:per_round]), order[per_round:]
-        blocks = coefficient_pass(f, p, "ac", sups, cells[visit])
+        blocks = convolve_cells(f.values, grid, p, "ac", sups, cells[visit])
         best = np.maximum(best, np.max(np.reshape(blocks, (-1, 4)), axis=0))
         order = order[np.any(bounds[order] * (1.0 + SUP_BOUND_MARGIN) >= best, axis=1)]
     return tuple(float(v) for v in best)
@@ -362,16 +365,18 @@ def make_record(f: DistributionField, p, d0, sharp0: DistributionField, acc, cli
 
     - the slab pass (record_slabs) takes g, <x - t v>^power, the derivatives
       of RECORD_ORDERS, their Z maxima and E-norms, the L2_t integrand's norm,
-      each cell's velocity moments and H, slab by slab.  |x - t v|^2 is
-      Grid.x_minus_tv_squared on the slab's cells, so at d_x < d_v the weight
-      and its powers have length 1 on the unpaired velocity axes;
+      each cell's velocity moments, H and cell_extrema, slab by slab.
+      |x - t v|^2 is Grid.x_minus_tv_squared on the slab's cells, so at
+      d_x < d_v the weight and its powers have length 1 on the unpaired
+      velocity axes;
     - the f-sharp difference sup is taken on each slab of the first velocity
       axis (threads.velocity_slab_rows) as the pullback shifts it
       (transport.shift_chunk), the difference in the shift's own output;
     - the coefficient passes take the null term and the coefficient sups
-      (_coefficient_sups): over the stepper's cells (data_cells), in rounds,
-      convolving only the cells whose bounds (sup_bounds) can reach the sups
-      found so far.
+      (_coefficient_sups): data_cells checks the sign of every cell from the
+      slabs' extrema and picks the stepper's cells, which are convolved in
+      rounds, only those whose bounds (sup_bounds) can reach the sups found
+      so far.
 
     The calling thread combines maxima and sums.  Every field but E_norms and
     h_value is bitwise independent of the slab size; those two sum the slabs'
@@ -409,7 +414,8 @@ def make_record(f: DistributionField, p, d0, sharp0: DistributionField, acc, cli
             if key == "abs":
                 # ||<v> <x-tv>^(M_max+5) g||, whose square the L2_t integrand takes
                 e_norms["abs_Lt2"] = math.sqrt(float(np.sum(wdg ** 2)) * vol)
-        return velocity_moments(fs, grid), z_norms, e_norms, h_functional(f, rows)
+        return (velocity_moments(fs, grid), z_norms, e_norms, h_functional(f, rows),
+                cell_extrema(fs, grid.d_v))
 
     def sharp_sup(chunk):
         # the pullback f(t, x + t v, v) on one slab of the first velocity
@@ -425,14 +431,15 @@ def make_record(f: DistributionField, p, d0, sharp0: DistributionField, acc, cli
     results = pool_map(lambda job: job[0](job[1]),
                        [(sharp_sup, c) for c in chunks] + [(slab, b) for b in record_slabs(grid)])
     sharp_sups, slabs = results[:len(chunks)], results[len(chunks):]
-    moments, z_parts, e_parts, h_parts = zip(*slabs)
+    moments, z_parts, e_parts, h_parts, ext_parts = zip(*slabs)
     rho, m, e = (np.concatenate(parts) if grid.d_x else parts[0] for parts in zip(*moments))
+    ext = np.concatenate(ext_parts, axis=1)
     z_norms = {key: max(part[key] for part in z_parts) for key in z_parts[0]}
     e_norms = {key: math.hypot(*(part[key] for part in e_parts)) for key in e_parts[0]}
     acc.add(t, (1.0 + t) ** (-1.0 - hp.delta) * e_norms["abs_Lt2"] ** 2)
     e_norms["abs_Lt2"] = acc.value
 
-    null_term, plain, weighted, c_sup = _coefficient_sups(f, p, vb)
+    null_term, plain, weighted, c_sup = _coefficient_sups(f, p, vb, ext)
     return DiagnosticRecord(
         t=t,
         mass=float(np.sum(rho)) * xvol,

@@ -2,18 +2,20 @@
 
 Transport is spectrally exact, so the splitting error is localized in the
 collision substep, an explicit midpoint (RK2) update with coefficients
-recomputed at each stage and CFL-limited sub-cycling.  Each stage updates only
-the cells whose max f is at least DATA_TOL of the peak (data_cells); the
-others keep their values, as their update would be below CLIP_REL_TOL of it.  Negative values
-created by the update are clipped to zero; the clipped mass is accumulated and
-run() aborts if it exceeds CLIP_BUDGET of the initial mass.
+recomputed at each stage and CFL-limited sub-cycling.  Each stage is one
+coefficient pass (coefficients.convolve_cells) over the cells whose max f is
+at least DATA_TOL of the peak; the others keep their values, as their update
+would be below CLIP_REL_TOL of it.  Negative values created by the update are
+clipped to zero; the clipped mass is accumulated and run() aborts if it
+exceeds CLIP_BUDGET of the initial mass.
 
 A Strang step decides from each field's cell_extrema, the max and min of
 every spatial cell, which the pool's workers take as they write the values:
 the transport chunks as they shift, and the coefficient pass's consumers as
-they apply the RK2 update to their block.  The sign gate, the data cells, the
-clip floor, the cells the clip visits and the finiteness check all come from
-the extrema, so the calling thread scans no full field.  A stage writes into
+they apply the RK2 update to their block.  coefficients.data_cells takes a
+stage's extrema, checks the sign of every cell and picks the data cells; the
+clip floor, the cells the clip visits and the finiteness check come from the
+same extrema, so the calling thread scans no full field.  A stage writes into
 a field the step made, never into the one the step was given.
 """
 
@@ -22,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import (CLIP_REL_TOL, cell_view, check_sign, convolve_cells, data_cells,
-                           distinct_a_bar)
+from .coefficients import CLIP_REL_TOL, cell_view, convolve_cells, data_cells, distinct_a_bar
 from .collision import apply_collision_divergence
 from .config import SimulationConfig, initial_data, validate_config
 from .diagnostics import ENormAccumulator, make_record
@@ -80,15 +81,6 @@ def _check_finite(values, step):
         raise NanDetected(f"{step} produced nonfinite values")
 
 
-def _stage_pass(src, ext, grid, p: KernelParams, tables, consume):
-    """consume(cells, coeffs) on the blocks of src's data cells, src's sign checked.
-
-    ext is src's cell_extrema; it gates the sign and picks the cells.
-    """
-    check_sign(float(np.max(ext[0], initial=0.0)), float(np.min(ext[1])))
-    return convolve_cells(src, grid, p, tables, consume, data_cells(ext[0]))
-
-
 def _update(out, base, cells, step, q, d_v):
     """out[cells] = base[cells] + step q, on cell views; the cells and their cell_extrema."""
     new = base[cells] + step * q
@@ -113,7 +105,7 @@ def _rhs_blocks(vals, ext, grid, p: KernelParams):
                 np.max([np.max(np.abs(comp)) for comp in distinct_a_bar(coeffs)]),
                 np.max(np.abs(coeffs.c_bar)))
 
-    return _stage_pass(vals, ext, grid, p, "abc", rhs)
+    return convolve_cells(vals, grid, p, "abc", rhs, data_cells(ext))
 
 
 def _collide(vals, ext, dt, p: KernelParams, cfl_safety, state: RunState, grid):
@@ -153,9 +145,10 @@ def _collide(vals, ext, dt, p: KernelParams, cfl_safety, state: RunState, grid):
                              k1)
             k1 = None
         else:
-            parts = _stage_pass(vals, ext, grid, p, "ab", midpoint)
+            parts = convolve_cells(vals, grid, p, "ab", midpoint, data_cells(ext))
         _settle(mid, mid_ext, parts, state, grid)
-        _settle(vals, ext, _stage_pass(mid, mid_ext, grid, p, "ab", endpoint), state, grid)
+        _settle(vals, ext, convolve_cells(mid, grid, p, "ab", endpoint, data_cells(mid_ext)),
+                state, grid)
 
 
 def collision_substep(f: DistributionField, dt, p: KernelParams, cfl_safety,

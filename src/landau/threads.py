@@ -34,14 +34,16 @@ def pool():
     """The worker threads, pool_threads() of them, made at first use.
 
     Work goes to it through pool_map.  Its users: the coefficient pass
-    (coefficients.coefficient_pass), whose blocks come in multiples of
+    (coefficients.convolve_cells), whose blocks come in multiples of
     pool_threads(), and whose consumers in a Strang step also apply the RK2
     update to their block and take its per-cell extrema; the transport
     shifts, on chunks of the first velocity axis, which in a Strang step also
-    take each chunk's per-cell extrema; the record's slab pass, its f-sharp
-    distance on the velocity_slab_rows, and the bound pass of its
-    coefficient sups; and the slab passes of maxwellian.fit_maxwellian (its
-    start and every model evaluation).
+    take each chunk's per-cell extrema; the record's slab pass, which also
+    takes its rows' per-cell extrema for the sign check and the data cells of
+    the record's coefficient passes, its f-sharp distance on the
+    velocity_slab_rows, and the bound pass of its coefficient sups; and the
+    slab passes of maxwellian.fit_maxwellian (its start and every model
+    evaluation).
     """
     global _POOL
     if _POOL is None:

@@ -13,11 +13,12 @@ import pytest
 
 import landau.coefficients
 import landau.threads
-from landau.coefficients import (block_cells, cell_blocks, coefficient_pass, compute_coefficients,
-                                 coefficient_sup_norms, kernel_tables, table_bounds)
+from landau.coefficients import (block_cells, cell_blocks, compute_coefficients,
+                                 coefficient_sup_norms, convolve_cells, data_cells, kernel_tables,
+                                 table_bounds)
 from landau.errors import NegativeInput
 from landau.kernel import KernelParams
-from landau.phase_state import DistributionField, Grid, bracket
+from landau.phase_state import DistributionField, Grid, bracket, cell_extrema
 
 
 def _gaussian_field(grid, widths=None, amp=1.0):
@@ -135,13 +136,14 @@ def test_coefficients_scale_linearly_in_f():
 def test_negative_input_gate():
     g = Grid(0, 2, 1, 8, 1.0, 1.0)
     p = KernelParams(-1.0, 2)
-    vals = np.ones(g.shape)
-    vals[0, 0] = -1e-3
-    with pytest.raises(NegativeInput):
-        compute_coefficients(DistributionField(0.0, vals, g), p)
-    # round-off level negatives are clipped silently
-    vals[0, 0] = -1e-16
-    compute_coefficients(DistributionField(0.0, vals, g), p)
+    for method in ("fft", "direct"):
+        vals = np.ones(g.shape)
+        vals[0, 0] = -1e-3
+        with pytest.raises(NegativeInput):
+            compute_coefficients(DistributionField(0.0, vals, g), p, method)
+        # round-off level negatives are clipped silently
+        vals[0, 0] = -1e-16
+        compute_coefficients(DistributionField(0.0, vals, g), p, method)
 
 
 def test_pass_checks_the_sign_before_any_block():
@@ -151,8 +153,8 @@ def test_pass_checks_the_sign_before_any_block():
     vals[17, 3, 4] = -1e-3
     seen = []
     with pytest.raises(NegativeInput):
-        coefficient_pass(DistributionField(0.0, vals, g), p, "ac",
-                         lambda cells, c: seen.append(cells), np.arange(20))
+        convolve_cells(vals, g, p, "ac", lambda cells, c: seen.append(cells),
+                       data_cells(cell_extrema(vals, g.d_v)))
     assert seen == []
 
 
@@ -170,7 +172,7 @@ def test_pass_hands_each_block_its_requested_tables(monkeypatch):
         return (cells, np.array_equal(coeffs.a_bar[1][0], a01[cells])
                 and np.array_equal(coeffs.c_bar, c[cells]))
 
-    results = coefficient_pass(f, p, "ac", check, np.arange(80))
+    results = convolve_cells(f.values, g, p, "ac", check, np.arange(80))
     # blocks of at most 2^15 velocity points, 32 cells: 3 blocks, rounded up
     # to 4 for the 2 threads, of 20 cells each
     assert block_cells(g) == 32
@@ -186,12 +188,12 @@ def test_pass_visits_only_the_given_cells(monkeypatch):
     f = DistributionField(0.0, np.random.default_rng(16).random(g.shape), g)
     c = compute_coefficients(f, p).c_bar.reshape(80, 32, 32)
     cells = np.array([0, 2, 3, 7, 8, 9] + list(range(20, 60)) + [79])
-    results = coefficient_pass(f, p, "ac", lambda block, coeffs: (
+    results = convolve_cells(f.values, g, p, "ac", lambda block, coeffs: (
         block, np.array_equal(coeffs.c_bar, c[block])), cells)
     # blocks of at most 32 cells: the 47 given ones in two blocks, of 23 and 24
     assert [list(block) for block, _ in results] == [list(cells[:23]), list(cells[23:])]
     assert all(ok for _, ok in results)
-    assert coefficient_pass(f, p, "ac", lambda block, coeffs: 1, cells[:0]) == []
+    assert convolve_cells(f.values, g, p, "ac", lambda block, coeffs: 1, cells[:0]) == []
 
 
 @pytest.mark.parametrize("count, size, threads, sizes", [

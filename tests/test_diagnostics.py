@@ -22,9 +22,10 @@ from landau.diagnostics import (SUP_BOUND_MARGIN, ENormAccumulator, e_norm, fit_
                                 hierarchy_params, make_record, null_structure_gain,
                                 record_derivatives, record_slabs, sharp_cauchy_diff, sup_bounds,
                                 velocity_moments, z_norm)
-from landau.errors import (GammaOutOfRange, GridMismatch, InsufficientPoints,
+from landau.errors import (GammaOutOfRange, GridMismatch, InsufficientPoints, NegativeInput,
                            NonPositiveValue)
-from landau.phase_state import DistributionField, Grid, WeightSpec, bracket, gaussian_exponent
+from landau.phase_state import (DistributionField, Grid, WeightSpec, bracket, cell_extrema,
+                                gaussian_exponent)
 from landau.stepper import run
 from landau.transport import pullback_sharp
 
@@ -276,12 +277,12 @@ def test_record_sups_skip_round_off_cells(d_x, monkeypatch):
     assert np.all(np.max(cells[2::4], axis=(1, 2)) < DATA_TOL * np.max(vals))
     f = DistributionField(0.75, vals, g)
     visited = []
-    coefficient_pass = landau.diagnostics.coefficient_pass
+    convolve_cells = landau.diagnostics.convolve_cells
 
     def pass_over(*args):
         visited.extend(args[-1])
-        return coefficient_pass(*args)
-    monkeypatch.setattr(landau.diagnostics, "coefficient_pass", pass_over)
+        return convolve_cells(*args)
+    monkeypatch.setattr(landau.diagnostics, "convolve_cells", pass_over)
     rec = make_record(f, p, 0.2, pullback_sharp(f), ENormAccumulator(), 0.0)
     assert visited == list(range(0, cells.shape[0], 4))
     coeffs = compute_coefficients(f, p)
@@ -296,6 +297,25 @@ def test_record_sups_skip_round_off_cells(d_x, monkeypatch):
     rec = make_record(zero, p, 0.2, zero, ENormAccumulator(), 0.0)
     sups = (rec.null_term_sup, rec.a_bar_plain_sup, rec.a_bar_weighted_sup, rec.c_bar_sup)
     assert sups == (0.0,) * 4
+
+
+def test_record_refuses_negative_input_before_any_block(monkeypatch):
+    # the negative value sits in a cell below DATA_TOL of the peak, which no
+    # coefficient pass would visit: the record checks the sign of every cell
+    g = Grid(1, 2, 12, 8, 20.0, 3.0)
+    p = KernelParams(-1.0, 2)
+    vals = np.exp(-g.v_squared()) * np.ones(g.shape)
+    cells = cell_view(vals, g)
+    peak = np.max(vals)
+    cells[5] *= 1e-9
+    cells[5, 3, 4] = -1e-3 * peak
+    assert cell_extrema(vals, g.d_v)[0, 5] < DATA_TOL * peak
+    visited = []
+    monkeypatch.setattr(landau.diagnostics, "convolve_cells", lambda *args: visited.append(args))
+    f = DistributionField(0.5, vals, g)
+    with pytest.raises(NegativeInput):
+        make_record(f, p, 0.2, f, ENormAccumulator(), 0.0)
+    assert visited == []
 
 
 def _cell_sups(f, p):
@@ -362,12 +382,12 @@ def test_record_sups_are_a_full_pass_ones_when_cells_are_skipped(gamma, kind, mo
     densest = int(np.argmax(np.sum(cell_view(f.values, g), axis=(1, 2))))
     assert any(int(np.argmax(column)) != densest for column in cells.T)
     visited = []
-    coefficient_pass = landau.diagnostics.coefficient_pass
+    convolve_cells = landau.diagnostics.convolve_cells
 
     def pass_over(*args):
         visited.extend(args[-1])
-        return coefficient_pass(*args)
-    monkeypatch.setattr(landau.diagnostics, "coefficient_pass", pass_over)
+        return convolve_cells(*args)
+    monkeypatch.setattr(landau.diagnostics, "convolve_cells", pass_over)
     rec = make_record(f, p, 0.2, pullback_sharp(f), ENormAccumulator(), 0.0)
     assert len(set(visited)) == len(visited) < g.n_x
     sups = (rec.null_term_sup, rec.a_bar_plain_sup, rec.a_bar_weighted_sup, rec.c_bar_sup)

@@ -13,7 +13,7 @@ import landau.coefficients
 import landau.threads
 import landau.transport
 from landau.coefficients import (CLIP_REL_TOL, block_cells, cell_view, compute_coefficients,
-                                 data_cells, distinct_a_bar, kernel_tables)
+                                 convolve_cells, data_cells, distinct_a_bar, kernel_tables)
 from landau.collision import apply_collision_divergence
 from landau.config import SimulationConfig, initial_data
 from landau.diagnostics import conserved_moments
@@ -21,8 +21,8 @@ from landau.errors import CflViolation, ClipBudgetExceeded, NanDetected, Negativ
 from landau.kernel import KernelParams
 from landau.phase_state import DistributionField, Grid, cell_extrema
 import landau.stepper
-from landau.stepper import (RunState, _collision_dt, _rhs_blocks, _stage_pass, advance,
-                            collision_substep, run, strang_step)
+from landau.stepper import (RunState, _collision_dt, _rhs_blocks, advance, collision_substep, run,
+                            strang_step)
 from landau.transport import pullback_sharp, transport_shift
 
 
@@ -102,7 +102,7 @@ def _oracle_check_finite(values, step):
 def _oracle_rhs(vals, grid, p):
     """Q over the data cells of vals, 0 elsewhere, and max |a_bar_ij|, |c_bar| over those cells."""
     coeffs = compute_coefficients(DistributionField(0.0, vals, grid), p)
-    cells = data_cells(np.max(cell_view(vals, grid), axis=tuple(range(1, grid.d_v + 1))))
+    cells = data_cells(cell_extrema(vals, grid.d_v))
     rhs = apply_collision_divergence(vals, coeffs, grid)
     skipped = np.ones(cell_view(rhs, grid).shape[0], dtype=bool)
     skipped[cells] = False
@@ -178,8 +178,8 @@ def test_blocked_rhs_is_the_full_field_operator(d_x, d_v, monkeypatch):
     assert _collision_dt(*np.max(maxima, axis=0), g, 0.5) == want
     # the later stages' passes convolve a and b alone, and give the same Q
     fv = cell_view(vals, g)
-    blocks_ab = _stage_pass(vals, ext, g, p, "ab", lambda cells, coeffs: (
-        cells, apply_collision_divergence(fv[cells], coeffs, g), coeffs.c_bar))
+    blocks_ab = convolve_cells(vals, g, p, "ab", lambda cells, coeffs: (
+        cells, apply_collision_divergence(fv[cells], coeffs, g), coeffs.c_bar), data_cells(ext))
     rhs_ab, _ = _assemble_rhs(blocks_ab, vals, g)
     assert np.array_equal(rhs_ab, rhs)
     assert [c_bar for *_, c_bar in blocks_ab] == [None] * len(blocks)
@@ -218,9 +218,10 @@ def test_skipped_cells_hold_updates_below_the_clip_floor(skipping_field):
     g = f.grid
     if skipping_field["kind"] == "clipped":
         assert skipping_field["clipped"] > 0.0
-    cell_max = np.max(cell_view(f.values, g), axis=(1, 2))
+    ext = cell_extrema(f.values, g.d_v)
+    cell_max = ext[0]
     peak = float(np.max(cell_max))
-    skipped = np.setdiff1d(np.arange(len(cell_max)), data_cells(cell_max))
+    skipped = np.setdiff1d(np.arange(len(cell_max)), data_cells(ext))
     assert 0 < len(skipped) < len(cell_max)
     assert np.any(cell_max[skipped] >= CLIP_REL_TOL * peak)
     dt_cfl = _collision_dt(skipping_field["amax"], skipping_field["cmax"], g, 0.5)
@@ -234,7 +235,7 @@ def test_blocked_rhs_is_the_full_field_operator_on_data_cells(skipping_field):
     ext = cell_extrema(f.values, g.d_v)
     blocks = _rhs_blocks(f.values, ext, g, skipping_field["p"])
     rhs, held = _assemble_rhs(blocks, f.values, g)
-    cells = data_cells(np.max(cell_view(f.values, g), axis=(1, 2)))
+    cells = data_cells(ext)
     assert np.array_equal(held, cells)
     skipped = np.setdiff1d(np.arange(cell_view(rhs, g).shape[0]), cells)
     assert np.array_equal(cell_view(rhs, g)[cells], cell_view(skipping_field["q"], g)[cells])
@@ -276,7 +277,7 @@ def test_step_clips_a_skipped_cell_where_the_peak_moves_the_floor():
     vals[2, 5, 5] = -0.773 * CLIP_REL_TOL
     f = DistributionField(0.0, vals, g)
     assert vals[2, 5, 5] > -CLIP_REL_TOL * np.max(vals)
-    assert 2 not in data_cells(np.max(cell_view(vals, g), axis=(1, 2)))
+    assert 2 not in data_cells(cell_extrema(vals, g.d_v))
     state, want_state = RunState(), RunState()
     got = collision_substep(f, 0.0026, p, 0.5, state)  # one sub-cycle
     _assert_same_step(got, state, _oracle_substep(f, 0.0026, p, 0.5, want_state), want_state)
