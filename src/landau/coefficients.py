@@ -8,11 +8,12 @@ kernel is tabulated once per (velocity grid, gamma) as exact cell averages
 because index differences never wrap.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeInput
+from .errors import NanDetected, NegativeInput
 from .kernel import KernelParams, cell_averages, kernel_c, kernel_divergence, kernel_matrix, SINGULAR_CELL_RADIUS
 from .phase_state import DistributionField, Grid, bracket
 from .threads import pool_map, pool_threads
@@ -24,8 +25,11 @@ _BOUND_CACHE = {}
 CLIP_REL_TOL = 1e-14
 # The coefficient passes of the stepper and the record visit only the cells
 # whose max f is at least DATA_TOL of the peak (data_cells).  Q is quadratic in
-# a cell's f, and the CFL step caps h |a_bar| / dv^2, so a skipped cell's
-# update h |Q| stays below about DATA_TOL^2 = CLIP_REL_TOL of the peak.
+# a cell's f, and the CFL step caps h |a_bar| / dv^2 at about cfl_safety / 2
+# (the stencil's row sums reach 4 a_bar_aa / dv^2), so a skipped cell's update
+# h |Q| stays below about DATA_TOL^2 = CLIP_REL_TOL of the peak: 1.4e-6 and
+# 1.7e-3 of it on the two fields of
+# test_skipped_cells_hold_updates_below_the_clip_floor.
 DATA_TOL = CLIP_REL_TOL ** 0.5
 # Velocity points per block of the coefficient pass.  A block's spectra stay
 # in cache, and fewer blocks make fewer of the consumers' numpy calls, which
@@ -175,7 +179,13 @@ def _check_dimension(grid: Grid, p: KernelParams):
 
 
 def check_sign(peak, low):
-    """Raise NegativeInput if low, a field's least value, is below -CLIP_REL_TOL of peak, its greatest."""
+    """Raise NegativeInput if low, a field's least value, is below -CLIP_REL_TOL of peak, its greatest.
+
+    A NaN or an infinity in the field shows in peak or low and raises
+    NanDetected: against a NaN peak, data_cells would pick no cell.
+    """
+    if not (math.isfinite(peak) and math.isfinite(low)):
+        raise NanDetected("distribution has nonfinite values")
     if peak > 0.0 and low < -CLIP_REL_TOL * peak:
         raise NegativeInput("distribution has negative values beyond round-off")
 

@@ -3,11 +3,15 @@
 Transport is spectrally exact, so the splitting error is localized in the
 collision substep, an explicit midpoint (RK2) update with coefficients
 recomputed at each stage and CFL-limited sub-cycling.  Each stage is one
-coefficient pass (coefficients.convolve_cells) over the cells whose max f is
-at least DATA_TOL of the peak; the others keep their values, as their update
-would be below CLIP_REL_TOL of it.  Negative values created by the update are
-clipped to zero; the clipped mass is accumulated and run() aborts if it
-exceeds CLIP_BUDGET of the initial mass.
+coefficient pass (coefficients.convolve_cells) over the a and b tables and
+the cells whose max f is at least DATA_TOL of the peak; the others keep their
+values, as their update would be below CLIP_REL_TOL of it.  The sub-cycle is
+h = dt / nsub <= cfl_safety * 2 / G, RK2's real-axis limit 2 / rho times
+cfl_safety, where G, the largest Gershgorin row sum of the flux stencil at
+the first stage's coefficients (collision.divergence_row_sums), bounds the
+spectral radius rho of the whole operator, drift included.  Negative values
+created by the update are clipped to zero; the clipped mass is accumulated
+and run() aborts if it exceeds CLIP_BUDGET of the initial mass.
 
 A Strang step decides from each field's cell_extrema, the max and min of
 every spatial cell, which the pool's workers take as they write the values:
@@ -24,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CLIP_REL_TOL, cell_view, convolve_cells, data_cells, distinct_a_bar
-from .collision import apply_collision_divergence
+from .coefficients import CLIP_REL_TOL, cell_view, convolve_cells, data_cells
+from .collision import apply_collision_divergence, divergence_row_sums
 from .config import SimulationConfig, initial_data, validate_config
 from .diagnostics import ENormAccumulator, make_record
 from .errors import CflViolation, ClipBudgetExceeded, NanDetected
@@ -40,7 +44,16 @@ MAX_SUBCYCLES = 10000
 
 @dataclass
 class RunState:
+    """What a run's steps have done.
+
+    The mass they clipped, the steps, the collision sub-cycles and the
+    smallest collision CFL step (inf before the first collision step).
+    """
+
     clipped_mass: float = 0.0
+    steps: int = 0
+    substeps: int = 0
+    dt_cfl_min: float = math.inf
 
 
 def _clip(values, ext, state: RunState, grid):
@@ -65,14 +78,13 @@ def _clip(values, ext, state: RunState, grid):
         ext[:, flagged] = cell_extrema(block, grid.d_v)
 
 
-def _collision_dt(amax, cmax, grid, cfl_safety):
-    """The CFL step of the explicit update from max |a_bar_ij| and max |c_bar|."""
-    dt = math.inf
-    if amax > 0.0:
-        dt = min(dt, cfl_safety * grid.dv ** 2 / (2.0 * grid.d_v * amax))
-    if cmax > 0.0:
-        dt = min(dt, cfl_safety / cmax)
-    return dt
+def _collision_dt(bound, cfl_safety):
+    """The CFL step of the explicit update, cfl_safety times RK2's real-axis limit 2 / rho.
+
+    bound is the largest Gershgorin row sum of the operator's stencil
+    (collision.divergence_row_sums), a bound on its spectral radius rho.
+    """
+    return cfl_safety * 2.0 / bound if bound > 0.0 else math.inf
 
 
 def _check_finite(values, step):
@@ -97,15 +109,18 @@ def _settle(values, ext, parts, state: RunState, grid):
 
 
 def _rhs_blocks(vals, ext, grid, p: KernelParams):
-    """Q(vals) on each block of data cells, (cells, Q, max |a_bar_ij|, max |c_bar|) a block."""
+    """Q(vals) on each block of data cells, (cells, Q, the block's largest row sum) a block.
+
+    The row sums are divergence_row_sums of the block's coefficients, the
+    stencil that Q applies.
+    """
     fv = cell_view(vals, grid)
 
     def rhs(cells, coeffs):
         return (cells, apply_collision_divergence(fv[cells], coeffs, grid),
-                np.max([np.max(np.abs(comp)) for comp in distinct_a_bar(coeffs)]),
-                np.max(np.abs(coeffs.c_bar)))
+                float(np.max(divergence_row_sums(coeffs, grid))))
 
-    return convolve_cells(vals, grid, p, "abc", rhs, data_cells(ext))
+    return convolve_cells(vals, grid, p, "ab", rhs, data_cells(ext))
 
 
 def _collide(vals, ext, dt, p: KernelParams, cfl_safety, state: RunState, grid):
@@ -120,11 +135,12 @@ def _collide(vals, ext, dt, p: KernelParams, cfl_safety, state: RunState, grid):
         return
     k1 = _rhs_blocks(vals, ext, grid, p)
     # a field with no positive value has no cell to visit, and Q = 0
-    amax, cmax = np.max(np.reshape([block[2:] for block in k1], (-1, 2)), axis=0, initial=0.0)
-    dt_cfl = _collision_dt(float(amax), float(cmax), grid, cfl_safety)
+    dt_cfl = _collision_dt(max((block[2] for block in k1), default=0.0), cfl_safety)
     nsub = max(1, math.ceil(dt / dt_cfl)) if math.isfinite(dt_cfl) else 1
     if nsub > MAX_SUBCYCLES:
         raise CflViolation(f"{nsub} collision sub-cycles needed, cap {MAX_SUBCYCLES}")
+    state.substeps += nsub
+    state.dt_cfl_min = min(state.dt_cfl_min, dt_cfl)
     h = dt / nsub
     mid = np.empty_like(vals)
     fv, mv = cell_view(vals, grid), cell_view(mid, grid)
@@ -199,6 +215,7 @@ def advance(cfg: SimulationConfig, f: DistributionField, p: KernelParams, state:
             f = _transport(f, dt)
         else:
             f = strang_step(f, dt, p, cfg.cfl_safety, state)
+        state.steps += 1
         yield f, f.time >= next_out - 1e-9 or f.time >= cfg.t_final - 1e-12
 
 
@@ -206,7 +223,11 @@ def advance(cfg: SimulationConfig, f: DistributionField, p: KernelParams, state:
 class RunArtifacts:
     records: list
     final: DistributionField
-    clipped_mass: float
+    state: RunState
+
+    @property
+    def clipped_mass(self):
+        return self.state.clipped_mass
 
     def record_series(self, key):
         return [(r.t, getattr(r, key)) for r in self.records]
@@ -244,4 +265,4 @@ def run(cfg: SimulationConfig, data: DistributionField = None, transport_only=Fa
             records.append(make_record(f, p, cfg.d0, sharp0, acc, state.clipped_mass))
             if checkpoint_cb is not None:
                 checkpoint_cb(f)
-    return RunArtifacts(records, f, state.clipped_mass)
+    return RunArtifacts(records, f, state)

@@ -1,20 +1,25 @@
 """Collision operator structure: conservation, equilibrium, entropy."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from landau.coefficients import compute_coefficients
-from landau.collision import (apply_collision_divergence,
-                              apply_collision_nonconservative, h_functional)
+from landau.coefficients import cell_view, compute_coefficients
+from landau.collision import (apply_collision_divergence, apply_collision_nonconservative,
+                              divergence_row_sums, h_functional)
+from landau.config import SimulationConfig, initial_data
 from landau.diagnostics import conserved_moments
 from landau.kernel import KernelParams
 from landau.phase_state import DistributionField, Grid
 from landau.stepper import RunState, collision_substep
+from landau.transport import transport_shift
 
 
 def _maxwellian(grid, width2=2.0):
@@ -160,3 +165,93 @@ def test_h_decreases_on_short_anisotropic_run():
         h = h_functional(f)
         assert h - h_prev <= tol
         h_prev = h
+
+
+
+def _assembled_operator(coeffs, grid):
+    """The matrix A of apply_collision_divergence at one cell's coeffs, sparse, from 3^d_v probes.
+
+    A probe is 1 at the points whose index along every axis is its color
+    modulo 3.  Each point's 3^d_v box holds one point of each color, so
+    Q(probe)[p] is A_pq for the one point q of that color in p's box.
+    """
+    d, n = grid.d_v, grid.n_v
+    index = np.indices((n,) * d).reshape(d, -1)
+    rows, cols, vals = [], [], []
+    for color in itertools.product(range(3), repeat=d):
+        color = np.reshape(color, (d, 1))
+        probe = np.all(index % 3 == color, axis=0).astype(float)
+        q = apply_collision_divergence(probe.reshape((n,) * d), coeffs, grid).reshape(-1)
+        neighbour = index + (color - index + 1) % 3 - 1  # its offset is -1, 0 or 1 per axis
+        inside = np.all((neighbour >= 0) & (neighbour < n), axis=0)
+        assert np.all(q[~inside] == 0.0)
+        rows.append(np.flatnonzero(inside))
+        cols.append(np.ravel_multi_index(tuple(neighbour[:, inside]), (n,) * d))
+        vals.append(q[inside])
+    return scipy.sparse.csr_array((np.concatenate(vals), (np.concatenate(rows),
+                                                           np.concatenate(cols))),
+                                  shape=(n ** d, n ** d))
+
+
+def _one_cell_coefficients(values, grid, p):
+    """The coefficients of the velocity profile values on a d_x = 0 grid like grid."""
+    cell = Grid(0, grid.d_v, 1, grid.n_v, 1.0, grid.v_max)
+    return cell, compute_coefficients(DistributionField(0.0, values, cell), p)
+
+
+def _spectral_radius(a):
+    if a.shape[0] <= 1000:
+        return float(np.max(np.abs(np.linalg.eigvals(a.toarray()))))
+    return float(np.abs(scipy.sparse.linalg.eigs(a, k=1, which="LM", tol=1e-10)[0][0]))
+
+
+def _peak_cell(f):
+    """f's velocity profile in the spatial cell of its peak."""
+    cells = cell_view(f.values, f.grid)
+    return cells[np.argmax(np.max(cells.reshape(len(cells), -1), axis=1))]
+
+
+def _vacuum_cfg(d_v, n_v):
+    # criterion 8's g1 config, the bench's near_vacuum one, at d_v = 2 or 3
+    return SimulationConfig(
+        gamma=-1.0, d0=0.2, epsilon=1e-3, d_x=1, d_v=d_v, n_x=128, n_v=n_v,
+        L_x=900.0, v_max=6.0, t_final=1.0, dt_max=0.25, output_every=0.5,
+        initial_kind="gaussian",
+        initial_parameters={"x_width": 3.5 * 900.0 / 128, "v_width": 1.0})
+
+
+def _bound_cases():
+    """(name, grid, coefficients) of the fields whose row sums the tests check."""
+    rng = np.random.default_rng(12)
+    for d, n, gamma in ((2, 7, -1.0), (2, 2, -1.5), (3, 5, -0.7)):
+        # random data up to the box edges, where the gradient is one-sided
+        g = Grid(0, d, 1, n, 1.0, 2.0)
+        yield f"random d_v={d} n_v={n}", *_one_cell_coefficients(rng.random(g.shape), g,
+                                                                  KernelParams(gamma, d))
+    for d, n in ((2, 64), (3, 32)):
+        cfg = _vacuum_cfg(d, n)
+        f = initial_data(cfg)
+        yield f"near vacuum d_v={d}", *_one_cell_coefficients(_peak_cell(f), f.grid,
+                                                               cfg.kernel_params())
+        if d == 2:
+            # g1's data dispersed by free transport to t = 25
+            g1 = transport_shift(f, 25.0)
+            yield "g1 at t = 25", *_one_cell_coefficients(_peak_cell(g1), f.grid,
+                                                          cfg.kernel_params())
+
+
+@pytest.fixture(scope="module")
+def bound_cases():
+    return [(name, g, coeffs, _assembled_operator(coeffs, g)) for name, g, coeffs in _bound_cases()]
+
+
+def test_row_sums_are_those_of_the_assembled_operator(bound_cases):
+    for name, g, coeffs, a in bound_cases:
+        want = np.abs(a).sum(axis=1)
+        got = divergence_row_sums(coeffs, g).reshape(-1)
+        assert np.max(np.abs(got - want) / want) <= 1e-14, name
+
+
+def test_largest_row_sum_bounds_the_spectral_radius(bound_cases):
+    for name, g, coeffs, a in bound_cases:
+        assert float(np.max(divergence_row_sums(coeffs, g))) >= _spectral_radius(a), name

@@ -22,8 +22,8 @@ from landau.diagnostics import (SUP_BOUND_MARGIN, ENormAccumulator, e_norm, fit_
                                 hierarchy_params, make_record, null_structure_gain,
                                 record_derivatives, record_slabs, sharp_cauchy_diff, sup_bounds,
                                 velocity_moments, z_norm)
-from landau.errors import (GammaOutOfRange, GridMismatch, InsufficientPoints, NegativeInput,
-                           NonPositiveValue)
+from landau.errors import (GammaOutOfRange, GridMismatch, InsufficientPoints, NanDetected,
+                           NegativeInput, NonPositiveValue)
 from landau.phase_state import (DistributionField, Grid, WeightSpec, bracket, cell_extrema,
                                 gaussian_exponent)
 from landau.stepper import run
@@ -316,6 +316,29 @@ def test_record_refuses_negative_input_before_any_block(monkeypatch):
     with pytest.raises(NegativeInput):
         make_record(f, p, 0.2, f, ENormAccumulator(), 0.0)
     assert visited == []
+
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_record_and_coefficients_refuse_a_nonfinite_field(bad, monkeypatch):
+    # a NaN peak once passed the sign check and picked no data cell, so the
+    # record read coefficient sups of 0.0, as for a vacuum.  The record's
+    # slab pass and f-sharp shift run before the check, and their FFTs warn
+    # on an infinity
+    g = Grid(1, 2, 12, 8, 20.0, 3.0)
+    p = KernelParams(-1.0, 2)
+    vals = np.exp(-g.v_squared()) * np.ones(g.shape)
+    vals[7, 2, 5] = bad
+    f = DistributionField(0.5, vals, g)
+    visited = []
+    monkeypatch.setattr(landau.diagnostics, "convolve_cells", lambda *args: visited.append(args))
+    with pytest.raises(NanDetected):
+        make_record(f, p, 0.2, f, ENormAccumulator(), 0.0)
+    assert visited == []
+    for method in ("fft", "direct"):
+        with pytest.raises(NanDetected):
+            compute_coefficients(f, p, method)
 
 
 def _cell_sups(f, p):
