@@ -64,83 +64,70 @@ def apply_collision_divergence(f_slice, coeffs: CoefficientFields, grid: Grid):
     return q
 
 
+def _stencil(coeffs: CoefficientFields, grid: Grid):
+    """The offsets o along at most two axes, and rows[k][p] = A[p, p + offsets[k]], Q = A f.
+
+    The flux through the face p + e_a / 2 weighs f at the offsets 0 and e_a (normal
+    difference, drift) and s e_j, e_a + s e_j, s = -1, 0, 1 (cross terms, np.gradient along j).
+    A weight w adds w / dv to A[p, p + o] and takes it from A[p + e_a, p + o].  The arrays
+    are flat, so that p + e_a is a shift by a stride; no face leads out of the box.
+    """
+    a_bar, b_bar, dv, d, n = coeffs.a_bar, coeffs.b_bar, grid.dv, grid.d_v, grid.n_v
+    shape = a_bar[0][0].shape
+    offsets = [o for o in itertools.product((-1, 0, 1), repeat=d) if np.count_nonzero(o) <= 2]
+    # rows by key, an offset's digits plus 1 in base 3: the key of o + s e_a is key(o) + s unit[a]
+    unit = [3 ** (d - 1 - a) for a in range(d)]
+    index = {int(np.dot(np.add(o, 1), unit)): k for k, o in enumerate(offsets)}
+    rows = np.zeros((len(offsets), a_bar[0][0].size))
+    zero, edges = sum(unit), slice(None, None, n - 1)
+    # dv times np.gradient's weight of f[p + s e_j] in g_j[p]: s / 2 inside, and
+    # one-sided (edge_order=1) at p_j = 0 and n_v - 1, by s + 1 and the edge
+    edge_weights = np.array([[0.0, -1.0], [-1.0, 1.0], [1.0, 0.0]]) / dv
+
+    def at(x, a, k):  # the flat array x at the points p with p_a = k, an index or a slice
+        return x.reshape(shape)[(Ellipsis, k) + (slice(None),) * (d - 1 - a)]
+
+    for a in range(d):
+        stride = n ** (d - 1 - a)
+
+        def face(comp, scale):
+            # scale (comp[p] + comp[p + e_a]), 0 at p_a = n_v - 1
+            out, flat = np.empty(comp.size), comp.reshape(-1)
+            np.multiply(np.add(flat[:-stride], flat[stride:], out=out[:-stride]), scale,
+                        out=out[:-stride])
+            at(out, a, -1)[...] = 0.0
+            return out
+
+        def scatter(o, w):
+            rows[index[o]] += w
+            row = rows[index[o - unit[a]]][stride:]
+            row -= w[:-stride]
+
+        # G_a / dv = normal (f[p + e_a] - f[p]) + drift (f[p] + f[p + e_a])
+        # + cross (g_j[p] + g_j[p + e_a]) for each j != a
+        normal = face(a_bar[a][a], 0.5 / dv ** 2)
+        drift = face(b_bar[a], -0.25 / dv)
+        scatter(zero, drift - normal)
+        scatter(zero + unit[a], np.add(normal, drift, out=normal))
+        for j in (j for j in range(d) if j != a):
+            cross = face(a_bar[a][j], 0.25 / dv)
+            ends = edge_weights.reshape((3, 2) + (1,) * (d - 1 - j))
+            for s in (-1, 0, 1):
+                term = cross * (0.5 * s / dv)
+                at(term, j, edges)[...] = at(cross, j, edges) * ends[s + 1]
+                scatter(zero + s * unit[j], term)
+                scatter(zero + unit[a] + s * unit[j], term)
+    return offsets, rows.reshape((len(offsets),) + shape)
+
+
 def divergence_row_sums(coeffs: CoefficientFields, grid: Grid):
     """sum_q |A_pq| at each point p of coeffs' arrays, A the matrix of apply_collision_divergence.
 
-    Q = A f at frozen coefficients couples each velocity point to the points
-    of its 3^d_v box that differ from it along at most two axes.  Each
-    neighbour's coefficient is collected from the face values of a_bar and
-    b_bar, the normal and cross terms and the drift of both faces of every
-    axis, with np.gradient's one-sided edges and no boundary faces, before its
-    magnitude is taken: the cross terms of opposite faces nearly cancel.  The
-    largest row sum bounds the spectral radius of A (Gershgorin).
-
-    The arrays are taken flat, so that a face is a shift by the axis' stride,
-    and a face array holds 0 on the rows p with p_a = n_v - 1, which have no
-    face to p + e_a.  The temporaries are one array of coeffs' size per
-    neighbour: 9 at d_v = 2 and 19 at d_v = 3.
+    Each neighbour's weight is summed over every face in _stencil before its magnitude is taken,
+    as the cross terms of opposite faces nearly cancel.  The largest bounds rho(A) (Gershgorin).
     """
-    dv, d, n = grid.dv, grid.d_v, grid.n_v
-    a_bar, b_bar = coeffs.a_bar, coeffs.b_bar
-    shape = a_bar[0][0].shape
-    nd = len(shape)
-    offsets = [o for o in itertools.product((-1, 0, 1), repeat=d) if np.count_nonzero(o) <= 2]
-    rows = np.zeros((len(offsets), a_bar[0][0].size))
-    index = {o: k for k, o in enumerate(offsets)}
-
-    def plane(a, at):
-        # the points p with p_a = at, in a flat array's grid view
-        return (slice(None),) * _vaxis(grid, a, nd) + (at,)
-
-    def face(comp, a, scale):
-        # scale (comp[p] + comp[p + e_a]) at each p, 0 where p_a = n_v - 1
-        stride = n ** (d - 1 - a)
-        flat = comp.reshape(-1)
-        out = np.zeros(flat.size)
-        np.add(flat[:-stride], flat[stride:], out=out[:-stride])
-        out *= scale
-        out.reshape(shape)[plane(a, n - 1)] = 0.0
-        return out
-
-    def add(offset, value, a=None, op=np.add):
-        # rows[offset][p] op= value[p], or value[p - e_a], the face of p's lower neighbour
-        row = rows[index[tuple(offset)]]
-        if a is not None:
-            stride = n ** (d - 1 - a)
-            row, value = row[stride:], value[:-stride]
-        op(row, value, out=row)
-
-    unit = np.eye(d, dtype=int)
-    for a in range(d):
-        e = unit[a]
-        # G[p + e_a / 2] / dv = normal (f[p + e_a] - f[p]) - drift (f[p] + f[p + e_a])
-        # + cross terms, with the face values at p; q[p] adds it and q[p + e_a]
-        # subtracts it
-        normal = face(a_bar[a][a], a, 0.5 / dv ** 2)
-        drift = face(b_bar[a], a, 0.25 / dv)
-        ahead, behind = normal - drift, np.add(normal, drift, out=normal)
-        add(e, ahead)
-        add(0 * e, behind, op=np.subtract)
-        add(0 * e, ahead, a, np.subtract)
-        add(-e, behind, a)
-        for j in range(d):
-            if j == a:
-                continue
-            # the cross terms: cross (g_j[p] + g_j[p + e_a]), g_j = np.gradient along j
-            cross = face(a_bar[a][j], a, 0.25 / dv)
-            for s in (-1, 0, 1):
-                # the weight of f[p + s e_j] in g_j[p]: s / (2 dv) inside, and
-                # one-sided (edge_order=1) at p_j = 0 and n_v - 1
-                term = cross * (0.5 * s / dv)
-                for at, w in ((0, (0.0, -1.0, 1.0)[s + 1]), (n - 1, (-1.0, 1.0, 0.0)[s + 1])):
-                    edge = plane(j, at)
-                    term.reshape(shape)[edge] = (w / dv) * cross.reshape(shape)[edge]
-                add(s * unit[j], term)
-                add(e + s * unit[j], term)
-                add(s * unit[j], term, a, np.subtract)
-                add(-e + s * unit[j], term, a, np.subtract)
-    np.abs(rows, out=rows)
-    return np.sum(rows, axis=0).reshape(shape)
+    rows = _stencil(coeffs, grid)[1]
+    return np.sum(np.abs(rows, out=rows), axis=0)
 
 
 def _second_difference(f, dv, axis):

@@ -127,9 +127,10 @@ def _collide(vals, ext, dt, p: KernelParams, cfl_safety, state: RunState, grid):
     """Sub-cycled RK2 integration of d_t f = Q(f, f) at fixed x, written into vals.
 
     vals is a field the step made and ext its cell_extrema; both are updated.
-    The first stage's Q, held per block of data cells, sets the CFL step.
-    Each later stage's consumer applies the update to its own block, the
-    midpoint stage into a second field that holds vals in every other cell.
+    Each sub-cycle's first stage is _rhs_blocks, Q held per block of data
+    cells, then its update into a second field that holds vals in every other
+    cell; the first sub-cycle's row sums set the CFL step.  The endpoint
+    stage's consumer applies the update to its own block.
     """
     if float(np.max(ext[0])) == 0.0:
         return
@@ -145,23 +146,18 @@ def _collide(vals, ext, dt, p: KernelParams, cfl_safety, state: RunState, grid):
     mid = np.empty_like(vals)
     fv, mv = cell_view(vals, grid), cell_view(mid, grid)
 
-    def midpoint(cells, coeffs):
-        return _update(mv, fv, cells, 0.5 * h, apply_collision_divergence(fv[cells], coeffs, grid),
-                       grid.d_v)
-
     def endpoint(cells, coeffs):
         return _update(fv, fv, cells, h, apply_collision_divergence(mv[cells], coeffs, grid),
                        grid.d_v)
 
-    for i in range(nsub):
+    for _ in range(nsub):
         np.copyto(mid, vals)
         mid_ext = ext.copy()
-        if i == 0:
-            parts = pool_map(lambda block: _update(mv, fv, block[0], 0.5 * h, block[1], grid.d_v),
-                             k1)
-            k1 = None
-        else:
-            parts = convolve_cells(vals, grid, p, "ab", midpoint, data_cells(ext))
+        # the first sub-cycle's blocks are the ones that set h; the later
+        # sub-cycles' row sums go unused
+        k1 = k1 or _rhs_blocks(vals, ext, grid, p)
+        parts = pool_map(lambda block: _update(mv, fv, block[0], 0.5 * h, block[1], grid.d_v), k1)
+        k1 = None
         _settle(mid, mid_ext, parts, state, grid)
         _settle(vals, ext, convolve_cells(mid, grid, p, "ab", endpoint, data_cells(mid_ext)),
                 state, grid)

@@ -22,7 +22,7 @@ import math
 import numpy as np
 import pytest
 
-from landau.coefficients import compute_coefficients, coefficient_sup_norms
+from landau.coefficients import compute_coefficients
 from landau.collision import apply_collision_divergence, h_functional
 from landau.config import SimulationConfig, initial_data, validate_config
 from landau.diagnostics import (conserved_moments, dispersive_window, fit_decay_rate,
@@ -49,28 +49,21 @@ def _report(num, ok, detail):
 
 
 def _drive(cfg, snap_times):
-    """Step to t_final through advance; keep a-bar sups at outputs, f-sharp at snap_times."""
+    """Step to t_final through advance; keep f-sharp at the outputs in snap_times."""
     f = initial_data(cfg)
     validate_config(cfg, f)
-    p = cfg.kernel_params()
     state = RunState()
     mass0 = f.mass()
-    plain, weighted, snaps = [], [], {}
-    vb = bracket(f.grid.v_squared())
+    snaps = {}
 
     def observe(f):
-        xtb = bracket(f.grid.x_minus_tv_squared(f.time))
-        sups = coefficient_sup_norms(compute_coefficients(f, p), cfg.gamma, vb, xtb)
-        plain.append((f.time, sups["plain"]))
-        weighted.append((f.time, sups["weighted_down"]))
         snaps.update((s, pullback_sharp(f)) for s in snap_times if abs(f.time - s) < 1e-9)
 
     observe(f)
-    for f, at_output in advance(cfg, f, p, state):
+    for f, at_output in advance(cfg, f, cfg.kernel_params(), state):
         if at_output:
             observe(f)
-    return {"plain": plain, "weighted": weighted, "snaps": snaps,
-            "clipped": state.clipped_mass, "mass0": mass0, "cfg": cfg}
+    return {"snaps": snaps, "clipped": state.clipped_mass, "mass0": mass0}
 
 
 def _vacuum_cfg(gamma, eps):

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from landau.coefficients import cell_view, compute_coefficients
-from landau.collision import (apply_collision_divergence, apply_collision_nonconservative,
-                              divergence_row_sums, h_functional)
+from landau.collision import (_stencil, apply_collision_divergence,
+                              apply_collision_nonconservative, divergence_row_sums, h_functional)
 from landau.config import SimulationConfig, initial_data
 from landau.diagnostics import conserved_moments
 from landau.kernel import KernelParams
@@ -193,6 +193,21 @@ def _assembled_operator(coeffs, grid):
                                   shape=(n ** d, n ** d))
 
 
+def _stencil_matrix(grid, offsets, weights):
+    """The sparse matrix of _stencil's rows; no weight may lead out of the velocity box."""
+    d, n = grid.d_v, grid.n_v
+    index = np.indices((n,) * d).reshape(d, -1)
+    entries = []
+    for offset, row in zip(offsets, weights.reshape(len(offsets), -1)):
+        neighbour = index + np.reshape(offset, (d, 1))
+        inside = np.all((neighbour >= 0) & (neighbour < n), axis=0)
+        assert np.all(row[~inside] == 0.0)
+        entries.append((row[inside], np.flatnonzero(inside),
+                        np.ravel_multi_index(tuple(neighbour[:, inside]), (n,) * d)))
+    vals, rows, cols = (np.concatenate(part) for part in zip(*entries))
+    return scipy.sparse.csr_array((vals, (rows, cols)), shape=(n ** d, n ** d))
+
+
 def _one_cell_coefficients(values, grid, p):
     """The coefficients of the velocity profile values on a d_x = 0 grid like grid."""
     cell = Grid(0, grid.d_v, 1, grid.n_v, 1.0, grid.v_max)
@@ -250,6 +265,14 @@ def test_row_sums_are_those_of_the_assembled_operator(bound_cases):
         want = np.abs(a).sum(axis=1)
         got = divergence_row_sums(coeffs, g).reshape(-1)
         assert np.max(np.abs(got - want) / want) <= 1e-14, name
+
+
+def test_stencil_is_the_assembled_operator(bound_cases):
+    # entry by entry, signs included: the row-sum test above would pass a
+    # weight of the wrong sign at a neighbour that only one face reaches
+    for name, g, coeffs, a in bound_cases:
+        error = abs(_stencil_matrix(g, *_stencil(coeffs, g)) - a).max(axis=1).toarray()
+        assert np.all(error <= 1e-14 * np.abs(a).sum(axis=1)), name
 
 
 def test_largest_row_sum_bounds_the_spectral_radius(bound_cases):

@@ -55,7 +55,8 @@ def test_strang_step_is_second_order_in_dt(nsub):
     # the near_vacuum config cut down to n_x = n_v = 32 at its dx, to t = 1:
     # |f(dt) - f(dt/2)| / peak for dt = 1 ... 1/16 falls by 4 per halving
     # (orders 2.00 measured on both paths).  nsub = 2 on every step comes
-    # from a cfl_safety that puts the first step's dt_cfl at 0.6 dt
+    # from a cfl_safety that puts the first step's dt_cfl at 0.6 dt; there
+    # the second sub-cycle's first stage computes row sums that go unused
     dx = 900.0 / 128
     cfg = _small_cfg(n_x=32, n_v=32, L_x=32 * dx, t_final=1.0,
                      initial_parameters={"x_width": 3.5 * dx, "v_width": 1.0})
